@@ -16,7 +16,6 @@ import numpy as np
 
 from denguegp.kernels import (
     KernelHyperparameters,
-    KernelInput,
     composite_kernel,
     linear_ard,
     matern52,
@@ -68,15 +67,15 @@ def main():
     print("models use this to switch climate inputs off.")
     print()
 
-    a = KernelInput(week=10, covariates=np.array([0.5, -0.2, 1.0]))
-    b = KernelInput(week=62, covariates=np.array([0.4, -0.1, 0.9]))
+    week_a, x_a = 10, np.array([0.5, -0.2, 1.0])
+    week_b, x_b = 62, np.array([0.4, -0.1, 0.9])
     print("Putting it together for two concrete weeks one season apart:")
-    print(f"  composite_kernel(week {a.week}, week {b.week}) = "
-          f"{composite_kernel(a, b, h):.6f}")
+    print(f"  composite_kernel(week {week_a}, week {week_b}) = "
+          f"{composite_kernel(week_a, x_a, week_b, x_b, h):.6f}")
     parts = (
         matern52(52, h.sigma_loc_sq, h.ell_loc),
         matern52(52, h.sigma_qp_sq, h.ell_qp) * periodic(52, h.period, h.ell_per),
-        linear_ard(a.covariates, b.covariates, h.sigma_lin_sq, h.ard_lengthscales),
+        linear_ard(x_a, x_b, h.sigma_lin_sq, h.ard_lengthscales),
     )
     print(f"  local {parts[0]:.6f} + quasi-periodic {parts[1]:.6f}"
           f" + linear {parts[2]:.6f} = {sum(parts):.6f}")

@@ -16,7 +16,6 @@ import time
 from denguegp.evaluation import PipelineOptions, TrainingView, build_design, query_row
 from denguegp.gp import fit, predict
 from denguegp.hyperopt import OptimizerConfig, optimize
-from denguegp.kernels import KernelInput
 from denguegp.synth import draw_from_prior, strongly_periodic_spec
 
 TRAIN_END = 150
@@ -45,9 +44,8 @@ def main():
     print(f"  design rows (weeks {weeks[0]}..{weeks[-1]}): {len(weeks)}")
     print()
 
-    inputs = [KernelInput(int(w), X[i]) for i, w in enumerate(weeks)]
     started = time.perf_counter()
-    h, lml, diagnostics = optimize(inputs, y, OptimizerConfig(restarts=2, seed=0))
+    h, lml, diagnostics = optimize(weeks, X, y, OptimizerConfig(restarts=2, seed=0))
     elapsed = time.perf_counter() - started
     print(f"Optimized hyperparameters (restart "
           f"{diagnostics['selected_restart']}, lml {lml:.2f}, {elapsed:.1f}s):")
@@ -57,11 +55,11 @@ def main():
           f"{spec.hyperparameters.period:g}")
     print()
 
-    model = fit(inputs, y, h, transform=state)
+    model = fit(weeks, X, y, h, transform=state)
     print("Four-week-ahead forecasts (DIR per 100k):")
     print(f"  {'week':>5s}  {'actual':>8s}  {'predicted':>9s}  {'95% interval':>18s}")
     for target in range(TRAIN_END + 1, TRAIN_END + 5):
-        dist = predict(model, KernelInput(target, query_row(view, state, target)))
+        dist = predict(model, target, query_row(view, state, target))
         actual = draw.dir_series.value_at(target)
         interval = f"[{dist.natural_lower:7.1f}, {dist.natural_upper:7.1f}]"
         print(f"  {target:>5d}  {actual:>8.1f}  {dist.natural_mean:>9.1f}  {interval:>18s}")

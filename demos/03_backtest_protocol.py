@@ -4,19 +4,14 @@ Every target week t is forecast from a training view that ends at
 t - 4, so the model never sees the four weeks leading up to the target.
 The GP refits its hyperparameters once per refit_every targets and
 reuses them in between; the AR(1) baseline refits every week on a
-12-week window; the linear model fits once on the first origin.
+12-week window; the linear model refits on the whole view every week.
 
 Run with:  python3 demos/03_backtest_protocol.py   (takes ~10 seconds)
 """
 
 import time
 
-from denguegp.evaluation import (
-    CityData,
-    PipelineOptions,
-    ProtocolConfig,
-    run_backtest,
-)
+from denguegp.evaluation import CityData, ProtocolConfig, run_backtest
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.synth import draw_from_prior, strongly_periodic_spec
 
@@ -33,7 +28,6 @@ def main():
     )
     protocol = ProtocolConfig()
     last = protocol.last_target or spec.weeks
-    options = PipelineOptions()
     print(f"City of {spec.weeks} weeks; forecasting targets "
           f"{protocol.first_target}..{last} at horizon {protocol.horizon} "
           f"({last - protocol.first_target + 1} origins, GP refit every "
@@ -45,8 +39,7 @@ def main():
         started = time.perf_counter()
         reports[model] = run_backtest(
             city, model, protocol,
-            optimizer_config=OptimizerConfig(restarts=2, seed=0),
-            options=options)
+            optimizer_config=OptimizerConfig(restarts=2, seed=0))
         print(f"  ran {model:>2s} backtest in {time.perf_counter() - started:5.1f}s")
     print()
 

@@ -6,48 +6,10 @@ log-transformed incidence rate.  The package bundles the preprocessing
 chain, marginal-likelihood hyperparameter optimization, rolling-origin
 evaluation against linear and autoregressive baselines, and synthetic
 data generation for end-to-end verification.
+
+Import from the submodules (``denguegp.gp``, ``denguegp.evaluation``,
+...); the package itself loads none of them, so ``python -m
+denguegp.cli`` imports only what the command needs.
 """
 
-from .baselines import (ARModelState, LinearModelState, ar_fit, ar_forecast4,
-                        lm_fit, lm_predict)
-from .data import (REGIONS, CityRecord, Dataset, DataValidationError,
-                   StationRecord, WeeklySeries, compute_dir, haversine_km,
-                   load_dataset, nearest_station, save_dataset)
-from .evaluation import (MODELS, BacktestReport, CityData, ForecastRow,
-                         PipelineOptions, ProtocolConfig, aggregate_reports,
-                         band_auc, pearson, run_backtest)
-from .gp import (ModelFitError, PredictiveDistribution, TrainedGP, fit,
-                 log_marginal_likelihood, lml_gradient, lml_value_and_gradient,
-                 predict)
-from .hyperopt import OptimizerConfig, default_initialization, optimize
-from .kernels import (PARAM_NAMES, KernelHyperparameters, KernelInput,
-                      composite_kernel, gram_matrix, kernel_gradients,
-                      kernel_vector, linear_ard, matern52, periodic)
-from .preprocess import (TransformState, center_response, inverse_log_transform,
-                         log_transform, remove_additive_outliers, select_lag,
-                         standardize_covariates)
-from .synth import (CovariateProcess, PriorDraw, SynthSpec, draw_from_prior,
-                    low_incidence_spec, make_multi_city_fixture,
-                    strongly_periodic_spec)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ARModelState", "BacktestReport", "CityData", "CityRecord",
-    "CovariateProcess", "DataValidationError", "Dataset", "ForecastRow",
-    "KernelHyperparameters", "KernelInput", "LinearModelState", "MODELS",
-    "ModelFitError", "OptimizerConfig", "PARAM_NAMES", "PipelineOptions",
-    "PredictiveDistribution", "PriorDraw", "ProtocolConfig", "REGIONS",
-    "StationRecord", "SynthSpec", "TrainedGP", "TransformState",
-    "WeeklySeries", "aggregate_reports", "ar_fit", "ar_forecast4",
-    "band_auc", "center_response", "composite_kernel", "compute_dir",
-    "default_initialization", "draw_from_prior", "fit", "gram_matrix",
-    "haversine_km", "inverse_log_transform", "kernel_gradients",
-    "kernel_vector", "linear_ard", "lm_fit", "lm_predict",
-    "load_dataset", "log_marginal_likelihood", "log_transform",
-    "low_incidence_spec", "lml_gradient", "lml_value_and_gradient",
-    "make_multi_city_fixture", "matern52", "nearest_station", "optimize",
-    "pearson", "periodic", "predict", "remove_additive_outliers",
-    "run_backtest", "save_dataset", "select_lag", "standardize_covariates",
-    "strongly_periodic_spec",
-]

@@ -19,12 +19,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .data import DataValidationError, load_dataset
-from .evaluation import (MODELS, CityData, PipelineOptions, ProtocolConfig,
-                         aggregate_reports, build_design, query_row,
-                         rebuild_design, run_backtest)
+from .evaluation import (MODELS, CityData, ForecastRow, PipelineOptions,
+                         ProtocolConfig, aggregate_reports, build_design,
+                         query_row, rebuild_design, run_backtest)
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
-from .kernels import KernelHyperparameters, KernelInput
+from .kernels import KernelHyperparameters
 from .preprocess import TransformState
 
 ENV_PREFIX = "DENGUEGP_"
@@ -168,10 +168,6 @@ def _write_forecast_csv(path: str, rows, model: str):
                         _fmt(r.sd), _fmt(r.lower95), _fmt(r.upper95), model))
 
 
-def _design_inputs(weeks, X):
-    return [KernelInput(int(w), X[i]) for i, w in enumerate(weeks)]
-
-
 def _trained_city(cfg: RunConfig, ds) -> CityData:
     if not cfg.city:
         raise DataValidationError("this command needs --city")
@@ -198,8 +194,7 @@ def cmd_train(cfg: RunConfig) -> int:
     view = city.training_view(city.dir_series.end_week)
     weeks, X, y, state = build_design(view, PipelineOptions())
     h, lml, diagnostics = optimize(
-        _design_inputs(weeks, X), y,
-        OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed))
+        weeks, X, y, OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed))
 
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
     _write_json(model_path, {
@@ -237,29 +232,19 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
     view = city.training_view(end)
     weeks, X, y = rebuild_design(view, state)
-    model = fit(_design_inputs(weeks, X), y, h, transform=state)
+    model = fit(weeks, X, y, h, transform=state)
 
     rows = []
     for t in range(end + 1, end + cfg.horizon + 1):
-        dist = predict(model, KernelInput(t, query_row(view, state, t)))
+        dist = predict(model, t, query_row(view, state, t))
         actual = city.actual_dir(t) if t <= city.dir_series.end_week else None
-        rows.append(_ForecastTuple(t, actual, dist.natural_mean, dist.sd,
-                                   dist.natural_lower, dist.natural_upper))
+        rows.append(ForecastRow(t, actual, dist.natural_mean, dist.sd,
+                                dist.natural_lower, dist.natural_upper))
 
     out_path = os.path.join(cfg.out_dir, f"prediction_{cfg.city}.csv")
     _write_forecast_csv(out_path, rows, "gp")
     print(f"forecast written to {out_path}")
     return 0
-
-
-@dataclass(frozen=True)
-class _ForecastTuple:
-    target_week: int
-    actual_dir: float | None
-    predicted_dir: float
-    sd: float
-    lower95: float
-    upper95: float
 
 
 def _city_worker(task):

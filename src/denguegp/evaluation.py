@@ -19,9 +19,8 @@ from .baselines import ar_fit, ar_forecast4, lm_fit, lm_predict
 from .data import Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
-from .kernels import KernelInput
-from .preprocess import (LAG_MAX, LAG_MIN, TransformState, center_response,
-                         log_transform, remove_additive_outliers, select_lag,
+from .preprocess import (TransformState, center_response, log_transform,
+                         remove_additive_outliers, select_lag,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
@@ -66,21 +65,12 @@ class PipelineOptions:
     """Preprocessing switches shared by all models."""
 
     clean_outliers: bool = True
-    outlier_critical_value: float = 3.5
-    lag_on_log_target: bool = True  # correlate lags against the log series
-    lm_refit_each_week: bool = True  # False: fit the linear baseline once
-    lag_min: int = LAG_MIN
-    lag_max: int = LAG_MAX
-
-    def __post_init__(self):
-        if not LAG_MIN <= self.lag_min <= self.lag_max <= LAG_MAX:
-            raise ValueError(f"lag range must sit inside [{LAG_MIN}, {LAG_MAX}]")
 
 
 @dataclass(frozen=True)
 class ForecastRow:
     target_week: int
-    actual_dir: float
+    actual_dir: float | None  # None past the series end (forecast command)
     predicted_dir: float | None
     sd: float | None  # log-scale predictive standard deviation
     lower95: float | None
@@ -172,6 +162,29 @@ class CityData:
         return self.dir_series.value_at(week)
 
 
+def _log_series(view: TrainingView, options: PipelineOptions):
+    """Outlier-cleaned (if enabled) log1p series of the view, plus the
+    flagged weeks."""
+    series = WeeklySeries(view.city_id, view.start_week, view.dir_values)
+    flagged: tuple = ()
+    if options.clean_outliers:
+        series, flagged_weeks = remove_additive_outliers(series)
+        flagged = tuple(flagged_weeks)
+    return log_transform(series), flagged
+
+
+def _lagged_covariates(view: TrainingView, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Design weeks (from start + max lag to the view end) and the raw
+    covariate rows shifted by each column's lag."""
+    design_start = view.start_week + max(lags)
+    weeks = np.arange(design_start, view.end_week + 1)
+    lagged = np.column_stack([
+        view.covariates[design_start - lag - view.start_week:
+                        view.end_week - lag - view.start_week + 1, d]
+        for d, lag in enumerate(lags)])
+    return weeks, lagged
+
+
 def build_design(view: TrainingView, options: PipelineOptions):
     """Full leakage-free preprocessing of one training view.
 
@@ -179,32 +192,17 @@ def build_design(view: TrainingView, options: PipelineOptions):
     covariate rows, centered log response, and the frozen statistics
     needed to build query rows and undo the centering.
     """
-    series = WeeklySeries(view.city_id, view.start_week, view.dir_values)
-    flagged: tuple = ()
-    if options.clean_outliers:
-        series, flagged_weeks = remove_additive_outliers(
-            series, options.outlier_critical_value)
-        flagged = tuple(flagged_weeks)
-    log_series = log_transform(series)
-
-    lag_target = log_series.values if options.lag_on_log_target else series.values
+    log_series, flagged = _log_series(view, options)
     lags = tuple(
-        select_lag(view.covariates[:, d], lag_target, view.end_week,
-                   start_week=view.start_week,
-                   lag_min=options.lag_min, lag_max=options.lag_max)
+        select_lag(view.covariates[:, d], log_series.values, view.end_week,
+                   start_week=view.start_week)
         for d in range(3))
 
-    max_lag = max(lags)
-    design_start = view.start_week + max_lag
-    weeks = np.arange(design_start, view.end_week + 1)
-    lagged = np.column_stack([
-        view.covariates[design_start - lag - view.start_week:
-                        view.end_week - lag - view.start_week + 1, d]
-        for d, lag in enumerate(lags)])
+    weeks, lagged = _lagged_covariates(view, lags)
     X, means, stds = standardize_covariates(lagged, lagged.shape[0])
 
     centered, response_mean = center_response(log_series, view.end_week)
-    y = centered.values[design_start - view.start_week:]
+    y = centered.values[max(lags):]
 
     state = TransformState(
         response_mean=response_mean,
@@ -235,21 +233,10 @@ def rebuild_design(view: TrainingView, state: TransformState,
     covariate statistics and response mean are applied as-is, so a saved
     model can be rehydrated against the same data.
     """
-    options = options or PipelineOptions()
-    series = WeeklySeries(view.city_id, view.start_week, view.dir_values)
-    if options.clean_outliers:
-        series, _ = remove_additive_outliers(series, options.outlier_critical_value)
-    log_values = log_transform(series).values - state.response_mean
-
-    max_lag = max(state.lags)
-    design_start = view.start_week + max_lag
-    weeks = np.arange(design_start, view.end_week + 1)
-    lagged = np.column_stack([
-        view.covariates[design_start - lag - view.start_week:
-                        view.end_week - lag - view.start_week + 1, d]
-        for d, lag in enumerate(state.lags)])
+    log_series, _ = _log_series(view, options or PipelineOptions())
+    weeks, lagged = _lagged_covariates(view, state.lags)
     X = (lagged - np.array(state.covariate_means)) / np.array(state.covariate_stds)
-    y = log_values[design_start - view.start_week:]
+    y = log_series.values[max(state.lags):] - state.response_mean
     return weeks, X, y
 
 
@@ -259,21 +246,25 @@ def _run_gp(city: CityData, targets: range, protocol: ProtocolConfig,
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
-        weeks, X, y, state = build_design(view, options)
-        inputs = [KernelInput(int(w), X[i]) for i, w in enumerate(weeks)]
+        try:
+            weeks, X, y, state = build_design(view, options)
+            x_query = query_row(view, state, t)
+        except ValueError:
+            out[t] = None
+            continue
 
         scheduled = (t - protocol.first_target) % protocol.refit_every == 0
         if scheduled or current_h is None:
             try:
-                current_h, _, _ = optimize(inputs, y, optimizer_config)
+                current_h, _, _ = optimize(weeks, X, y, optimizer_config)
             except ModelFitError:
                 pass  # keep the previous hyperparameters, retry next week
         if current_h is None:
             out[t] = None
             continue
         try:
-            model = fit(inputs, y, current_h, transform=state)
-            dist = predict(model, KernelInput(t, query_row(view, state, t)))
+            model = fit(weeks, X, y, current_h, transform=state)
+            dist = predict(model, t, x_query)
         except ModelFitError:
             out[t] = None
             continue
@@ -297,18 +288,12 @@ def _to_natural(log_pred: float):
 
 def _run_lm(city: CityData, targets: range, protocol: ProtocolConfig,
             options: PipelineOptions) -> dict:
-    frozen = None  # (state, model) when fitting once
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
         try:
-            if options.lm_refit_each_week or frozen is None:
-                _, X, y, state = build_design(view, options)
-                model = lm_fit(X, y)
-                if not options.lm_refit_each_week:
-                    frozen = (state, model)
-            else:
-                state, model = frozen
+            _, X, y, state = build_design(view, options)
+            model = lm_fit(X, y)
             log_pred = lm_predict(model, query_row(view, state, t)) + state.response_mean
         except ValueError:
             out[t] = None
@@ -322,12 +307,8 @@ def _run_ar(city: CityData, targets: range, protocol: ProtocolConfig,
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
-        series = WeeklySeries(view.city_id, view.start_week, view.dir_values)
         try:
-            if options.clean_outliers:
-                series, _ = remove_additive_outliers(
-                    series, options.outlier_critical_value)
-            log_series = log_transform(series)
+            log_series, _ = _log_series(view, options)
             state = ar_fit(log_series, view.end_week)
         except ValueError:
             out[t] = None

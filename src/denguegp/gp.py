@@ -7,8 +7,10 @@ triangular solves per query:
     mean     = k_*^T alpha
     variance = k(x_*, x_*) - || L^-1 k_* ||^2
 
-Targets are centered log-incidence; the attached transform state maps
-predictions back to the natural incidence scale.
+Inputs are a design of n week indices, its (n, 3) matrix of
+standardized covariate rows and n targets; a query is one week plus its
+(3,) covariate row.  Targets are centered log-incidence; the attached
+transform state maps predictions back to the natural incidence scale.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .kernels import (
+    COVARIATE_DIM,
     KernelHyperparameters,
-    KernelInput,
     gram_from_arrays,
     gram_gradients,
     kernel_vector,
-    stack_inputs,
 )
 from .preprocess import TransformState
 
@@ -113,44 +114,67 @@ class PredictiveDistribution:
         return (self.natural_lower, self.natural_upper)
 
 
-def fit(inputs, targets, h: KernelHyperparameters,
+def validate_design(weeks, X, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a training design and return it as float arrays.
+
+    Rejects an empty design, an X that is not (n, 3), lengths that do
+    not match, and non-finite values.
+    """
+    weeks = np.array(weeks, dtype=float)
+    X = np.array(X, dtype=float)  # a copy: TrainedGP must not alias the caller's rows
+    targets = np.asarray(targets, dtype=float)
+    if weeks.ndim != 1 or weeks.size == 0:
+        raise ValueError("weeks must be a non-empty 1-D array")
+    if X.ndim != 2 or X.shape[1] != COVARIATE_DIM:
+        raise ValueError(f"X must have shape (n, {COVARIATE_DIM})")
+    if X.shape[0] != weeks.size or targets.shape != weeks.shape:
+        raise ValueError("weeks, X and targets must have matching lengths")
+    if not (np.all(np.isfinite(weeks)) and np.all(np.isfinite(X))):
+        raise ValueError("weeks and X must be finite")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+    return weeks, X, targets
+
+
+def fit(weeks, X, targets, h: KernelHyperparameters,
         transform: TransformState | None = None) -> TrainedGP:
     """Factorize the noisy Gram matrix and precompute the weight vector.
 
     Parameters
     ----------
-    inputs : sequence of KernelInput
-    targets : array-like
-        Centered log-scale observations, same length as inputs.
+    weeks : array-like, shape (n,)
+    X : array-like, shape (n, 3)
+        Standardized covariate rows, one per week.
+    targets : array-like, shape (n,)
+        Centered log-scale observations.
     h : KernelHyperparameters
     transform : TransformState, optional
         Carried along so predictions can be mapped back to the natural
         scale; a missing transform means identity centering.
     """
-    targets = np.asarray(targets, dtype=float)
-    weeks, cov = stack_inputs(inputs)
-    if targets.shape != weeks.shape:
-        raise ValueError("inputs and targets must have matching lengths")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
-    K = gram_from_arrays(weeks, cov, h, include_noise=True)
+    weeks, X, targets = validate_design(weeks, X, targets)
+    K = gram_from_arrays(weeks, X, h, include_noise=True)
     L, jitter = _chol_with_jitter(K)
     alpha = cho_solve((L, True), targets)
-    return TrainedGP(weeks=weeks, covariates=cov, targets=targets,
+    return TrainedGP(weeks=weeks, covariates=X, targets=targets,
                      hyperparameters=h, chol=L, alpha=alpha,
                      transform=transform, jitter=jitter)
 
 
-def predict(model: TrainedGP, query: KernelInput) -> PredictiveDistribution:
-    """Closed-form predictive mean and variance at one query input."""
+def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
+    """Closed-form predictive mean and variance at one query week with
+    its (3,) covariate row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (COVARIATE_DIM,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"query covariates must be a finite ({COVARIATE_DIM},) array")
     h = model.hyperparameters
-    kstar = kernel_vector(model.weeks, model.covariates, query, h)
+    kstar = kernel_vector(model.weeks, model.covariates, week, x, h)
     if not np.all(np.isfinite(kstar)):
         raise ValueError("non-finite kernel evaluation at query")
     mean = float(kstar @ model.alpha)
     v = solve_triangular(model.chol, kstar, lower=True)
     kss = (h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
-           + float(np.sum(query.covariates**2 / h.ard_lengthscales**2)))
+           + float(np.sum(x**2 / h.ard_lengthscales**2)))
     variance = kss - float(v @ v)
     if variance < 0.0:
         if variance < -VARIANCE_CLAMP:
@@ -172,9 +196,9 @@ def predict(model: TrainedGP, query: KernelInput) -> PredictiveDistribution:
     )
 
 
-def log_marginal_likelihood(inputs, targets, h: KernelHyperparameters) -> float:
+def log_marginal_likelihood(weeks, X, targets, h: KernelHyperparameters) -> float:
     """log p(y | X, theta) = -1/2 y^T alpha - sum_i log L_ii - N/2 log 2pi."""
-    model = fit(inputs, targets, h)
+    model = fit(weeks, X, targets, h)
     return _lml_from_factors(model.targets, model.chol, model.alpha)
 
 
@@ -185,25 +209,23 @@ def _lml_from_factors(targets, L, alpha) -> float:
                  - 0.5 * n * LOG_2PI)
 
 
-def lml_value_and_gradient(inputs, targets, h: KernelHyperparameters) -> tuple[float, np.ndarray]:
+def lml_value_and_gradient(weeks, X, targets,
+                           h: KernelHyperparameters) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient w.r.t. all log-hyperparameters.
 
     Gradient entries follow kernels.PARAM_NAMES and use the trace form
-    1/2 tr((alpha alpha^T - (K + sigma^2 I)^-1) dK/dtheta).
+    1/2 tr((alpha alpha^T - (K + sigma^2 I)^-1) dK/dtheta).  The design
+    is not validated here: this runs once per optimizer evaluation, and
+    optimize validates it once up front.
     """
     targets = np.asarray(targets, dtype=float)
-    weeks, cov = stack_inputs(inputs)
-    K = gram_from_arrays(weeks, cov, h, include_noise=True)
+    K = gram_from_arrays(weeks, X, h, include_noise=True)
     L, _ = _chol_with_jitter(K)
     alpha = cho_solve((L, True), targets)
     value = _lml_from_factors(targets, L, alpha)
 
     K_inv = cho_solve((L, True), np.eye(targets.size))
     W = np.outer(alpha, alpha) - K_inv
-    dK = gram_gradients(weeks, cov, h, include_noise=True)
+    dK = gram_gradients(weeks, X, h)
     grad = 0.5 * np.einsum("ij,kij->k", W, dK)
     return value, grad
-
-
-def lml_gradient(inputs, targets, h: KernelHyperparameters) -> np.ndarray:
-    return lml_value_and_gradient(inputs, targets, h)[1]

@@ -10,12 +10,12 @@ ties going to the lowest restart index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .gp import ModelFitError, lml_value_and_gradient
+from .gp import ModelFitError, lml_value_and_gradient, validate_design
 from .kernels import PARAM_NAMES, KernelHyperparameters
 
 N_PARAMS = len(PARAM_NAMES)
@@ -29,45 +29,37 @@ _LENGTHSCALE_RANGE = (0.5, 300.0)
 _VARIANCE_RANGE = (1e-6, 1e3)
 
 
-def default_log_bounds() -> tuple:
-    """Per-parameter (low, high) box in log space, ordered like PARAM_NAMES."""
-    out = []
-    for name in PARAM_NAMES:
-        if name == "period":
-            lo, hi = _PERIOD_RANGE
-        elif name.endswith("_sq"):
-            lo, hi = _VARIANCE_RANGE
-        else:
-            lo, hi = _LENGTHSCALE_RANGE
-        out.append((math.log(lo), math.log(hi)))
-    return tuple(out)
+def _log_range(name: str) -> tuple:
+    if name == "period":
+        lo, hi = _PERIOD_RANGE
+    elif name.endswith("_sq"):
+        lo, hi = _VARIANCE_RANGE
+    else:
+        lo, hi = _LENGTHSCALE_RANGE
+    return (math.log(lo), math.log(hi))
+
+
+#: Per-parameter (low, high) box in log space, ordered like PARAM_NAMES.
+LOG_BOUNDS = tuple(_log_range(name) for name in PARAM_NAMES)
+
+_GRADIENT_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 5
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-5
     seed: int = 0
-    bounds: tuple = field(default_factory=default_log_bounds)
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if len(self.bounds) != N_PARAMS:
-            raise ValueError(f"bounds must have {N_PARAMS} entries")
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError("each bound must satisfy low < high")
 
 
 def default_initialization(target_variance: float, restart_index: int,
-                           rng: np.random.Generator | None = None,
-                           bounds: tuple | None = None) -> KernelHyperparameters:
+                           rng: np.random.Generator | None = None) -> KernelHyperparameters:
     """Starting point for one restart.
 
     Restart 0 is fully deterministic: a 52-week period, short local and
@@ -90,10 +82,7 @@ def default_initialization(target_variance: float, restart_index: int,
         ell_hum=30.0,
         sigma_noise_sq=v / 10,
     )
-    if bounds is None:
-        bounds = default_log_bounds()
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(LOG_BOUNDS).T
     log_theta = np.clip(base.to_log_vector(), lo, hi)
     if restart_index == 0:
         return KernelHyperparameters.from_log_vector(log_theta)
@@ -103,26 +92,25 @@ def default_initialization(target_variance: float, restart_index: int,
     return KernelHyperparameters.from_log_vector(np.clip(jittered, lo, hi))
 
 
-def optimize(inputs, targets, config: OptimizerConfig) -> tuple:
+def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     """Maximize the log marginal likelihood; returns (h, lml, diagnostics).
 
-    Each restart minimizes the negative likelihood with analytic
-    gradients under the config's log-space box bounds.  A restart whose
+    The design is n weeks with their (n, 3) covariate rows and n
+    targets.  Each restart minimizes the negative likelihood with
+    analytic gradients inside the LOG_BOUNDS box.  A restart whose
     every evaluation fails the Cholesky factorization is recorded as
     failed; if all restarts fail, the data is pathological and
-    ModelFitError propagates.  Identical (inputs, targets, config) give
+    ModelFitError propagates.  Identical (weeks, X, targets, config) give
     bit-identical results.
     """
-    targets = np.asarray(targets, dtype=float)
-    if len(inputs) != targets.size:
-        raise ValueError("inputs and targets must have equal length")
-    if len(inputs) < MIN_TRAINING_POINTS:
+    weeks, X, targets = validate_design(weeks, X, targets)
+    if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")
 
     def objective(log_theta):
         try:
             h = KernelHyperparameters.from_log_vector(log_theta)
-            value, grad = lml_value_and_gradient(inputs, targets, h)
+            value, grad = lml_value_and_gradient(weeks, X, targets, h)
         except ModelFitError:
             return _FAILURE_VALUE, np.zeros(N_PARAMS)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -134,13 +122,13 @@ def optimize(inputs, targets, config: OptimizerConfig) -> tuple:
     records = []
     best = None  # (final_lml, restart_index, log_theta)
     for i in range(config.restarts):
-        start = default_initialization(target_variance, i, rng, config.bounds)
+        start = default_initialization(target_variance, i, rng)
         x0 = start.to_log_vector()
         f0, _ = objective(x0)
         result = minimize(
-            objective, x0, jac=True, method="L-BFGS-B", bounds=config.bounds,
+            objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
             options={"maxiter": config.max_iterations,
-                     "gtol": config.gradient_tolerance,
+                     "gtol": _GRADIENT_TOLERANCE,
                      "ftol": 1e-12})
         final = float(result.fun)
         failed = not np.isfinite(final) or final >= _FAILURE_VALUE / 2

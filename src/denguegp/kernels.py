@@ -15,10 +15,11 @@ attached to each week.
 * k_lin  -- linear kernel with a bias term and one inverse-squared
   lengthscale per covariate (large lengthscale = irrelevant covariate).
 
-Observation noise enters the Gram matrix as an additive sigma_noise^2
-on the diagonal.  All gradients are taken with respect to the natural
-logarithm of each hyperparameter, which is the parameterization the
-optimizer works in.
+A design is passed as two arrays: n week indices and an (n, 3) matrix
+of covariate rows.  Observation noise enters the Gram matrix as an
+additive sigma_noise^2 on the diagonal.  All gradients are taken with
+respect to the natural logarithm of each hyperparameter, which is the
+parameterization the optimizer works in.
 """
 
 from __future__ import annotations
@@ -122,23 +123,6 @@ class KernelHyperparameters:
         return cls.from_dict(json.loads(s))
 
 
-@dataclass(frozen=True)
-class KernelInput:
-    """One week's kernel input: the week index plus its standardized
-    (rainfall, temperature, humidity) covariate vector."""
-
-    week: int
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=float)
-        if cov.shape != (COVARIATE_DIM,):
-            raise ValueError(f"covariates must have shape ({COVARIATE_DIM},)")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariates must be finite")
-        object.__setattr__(self, "covariates", cov)
-
-
 def _check_positive(**params):
     for name, v in params.items():
         if not np.isfinite(v) or v <= 0:
@@ -179,56 +163,44 @@ def linear_ard(x_i, x_j, bias, lengthscales):
     return float(bias + np.sum(x_i * x_j / (ell * ell)))
 
 
-def composite_kernel(a: KernelInput, b: KernelInput, h: KernelHyperparameters) -> float:
-    """Full three-part covariance between two weekly inputs (no noise)."""
-    dt = abs(a.week - b.week)
+def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> float:
+    """Full three-part covariance between two weekly inputs (no noise).
+
+    The pairwise form of gram_from_arrays, kept as its reference.
+    """
+    dt = abs(week_a - week_b)
     k1 = matern52(dt, h.sigma_loc_sq, h.ell_loc)
     k2 = matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
-    k3 = linear_ard(a.covariates, b.covariates, h.sigma_lin_sq, h.ard_lengthscales)
+    k3 = linear_ard(x_a, x_b, h.sigma_lin_sq, h.ard_lengthscales)
     return float(k1 + k2 + k3)
 
 
-def stack_inputs(inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Split a sequence of KernelInput into (weeks, covariate matrix)."""
-    if len(inputs) == 0:
-        raise ValueError("inputs must be non-empty")
-    weeks = np.array([p.week for p in inputs], dtype=float)
-    cov = np.vstack([p.covariates for p in inputs])
-    return weeks, cov
-
-
-def gram_from_arrays(weeks, cov, h: KernelHyperparameters, include_noise: bool) -> np.ndarray:
-    """Vectorized Gram matrix over (weeks, covariates) arrays.
+def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool) -> np.ndarray:
+    """Gram matrix over a design of n weeks and its (n, 3) covariate rows.
 
     The upper triangle is computed and mirrored so the result is exactly
     symmetric (BLAS matmuls are not).
     """
     weeks = np.asarray(weeks, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    X = np.asarray(X, dtype=float)
     dt = np.abs(weeks[:, None] - weeks[None, :])
     k = matern52(dt, h.sigma_loc_sq, h.ell_loc)
     k += matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
     ell = h.ard_lengthscales
-    k += h.sigma_lin_sq + (cov / (ell * ell)) @ cov.T
+    k += h.sigma_lin_sq + (X / (ell * ell)) @ X.T
     k = np.triu(k) + np.triu(k, 1).T
     if include_noise:
         k[np.diag_indices_from(k)] += h.sigma_noise_sq
     return k
 
 
-def gram_matrix(inputs, h: KernelHyperparameters, include_noise: bool = True) -> np.ndarray:
-    """Gram matrix K[i][j] = k(inputs[i], inputs[j]) (+ noise on the diagonal)."""
-    weeks, cov = stack_inputs(inputs)
-    return gram_from_arrays(weeks, cov, h, include_noise)
-
-
-def kernel_vector(weeks, cov, query: KernelInput, h: KernelHyperparameters) -> np.ndarray:
-    """Covariances k(query, x_i) against a training set, noise-free."""
-    dt = np.abs(np.asarray(weeks, dtype=float) - float(query.week))
+def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
+    """Covariances between one query (week, x) and each design row, noise-free."""
+    dt = np.abs(np.asarray(weeks, dtype=float) - float(week))
     k = matern52(dt, h.sigma_loc_sq, h.ell_loc)
     k += matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
     ell = h.ard_lengthscales
-    k += h.sigma_lin_sq + np.asarray(cov, dtype=float) @ (query.covariates / (ell * ell))
+    k += h.sigma_lin_sq + np.asarray(X, dtype=float) @ (x / (ell * ell))
     return k
 
 
@@ -239,14 +211,16 @@ def _matern_log_ell_grad(dt, variance, lengthscale):
     return variance * np.exp(-a) * a * a * (1.0 + a) / 3.0
 
 
-def gram_gradients(weeks, cov, h: KernelHyperparameters, include_noise: bool) -> np.ndarray:
-    """Stack of dK/d(log theta) matrices, one per entry of PARAM_NAMES.
+def gram_gradients(weeks, X, h: KernelHyperparameters) -> np.ndarray:
+    """Stack of d(K + sigma_noise^2 I)/d(log theta), one per PARAM_NAMES entry.
 
     Used by the marginal-likelihood gradient.  Each slice is mirrored
     from its upper triangle for exact symmetry, matching the Gram build.
+    Off-diagonal entries are the pairwise kernel's gradients; the noise
+    slice is nonzero on the diagonal only.
     """
     weeks = np.asarray(weeks, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    X = np.asarray(X, dtype=float)
     n = weeks.size
     dt = np.abs(weeks[:, None] - weeks[None, :])
 
@@ -266,24 +240,9 @@ def gram_gradients(weeks, cov, h: KernelHyperparameters, include_noise: bool) ->
     grads[6] = np.full((n, n), h.sigma_lin_sq)
     ell = h.ard_lengthscales
     for d in range(COVARIATE_DIM):
-        grads[7 + d] = -2.0 * np.outer(cov[:, d], cov[:, d]) / (ell[d] * ell[d])
-    if include_noise:
-        grads[10] = h.sigma_noise_sq * np.eye(n)
-    else:
-        grads[10] = np.zeros((n, n))
+        grads[7 + d] = -2.0 * np.outer(X[:, d], X[:, d]) / (ell[d] * ell[d])
+    grads[10] = h.sigma_noise_sq * np.eye(n)
 
     for i in range(len(PARAM_NAMES)):
         grads[i] = np.triu(grads[i]) + np.triu(grads[i], 1).T
     return grads
-
-
-def kernel_gradients(a: KernelInput, b: KernelInput, h: KernelHyperparameters) -> np.ndarray:
-    """Partial derivatives of composite_kernel(a, b, h) w.r.t. each
-    log-hyperparameter, in PARAM_NAMES order.
-
-    The noise entry is identically zero: the pairwise kernel carries no
-    Kronecker-delta term (that lives on the Gram diagonal only).
-    """
-    weeks = np.array([a.week, b.week], dtype=float)
-    cov = np.vstack([a.covariates, b.covariates])
-    return gram_gradients(weeks, cov, h, include_noise=False)[:, 0, 1]

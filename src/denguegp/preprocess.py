@@ -182,7 +182,8 @@ def remove_additive_outliers(series: WeeklySeries, critical_value: float = 3.5,
     AIC over 1..4), scores every week with the outlier t-ratio built from
     the AR pi-weights and a MAD residual scale, and replaces the worst
     week with its fitted value while the ratio exceeds ``critical_value``
-    (at most ``max_iterations`` rounds).  The first ``order`` weeks carry
+    (at most ``max_iterations`` rounds).  Patched values are floored at
+    zero on the natural scale.  The first ``order`` weeks carry
     no residual and are never flagged.
 
     Returns the patched copy and the flagged week indices, in the order
@@ -236,6 +237,7 @@ def remove_additive_outliers(series: WeeklySeries, critical_value: float = 3.5,
 
     out = values.astype(float).copy()
     for idx in flagged:
-        out[idx] = np.expm1(z[idx])
+        # an AR fitted value can fall below log1p(0) = 0; incidence cannot
+        out[idx] = max(np.expm1(z[idx]), 0.0)
     weeks = [series.start_week + idx for idx in flagged]
     return WeeklySeries(series.city_id, series.start_week, out), weeks

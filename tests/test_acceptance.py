@@ -21,16 +21,16 @@ from denguegp.cli import main
 from denguegp.data import WeeklySeries
 from denguegp.evaluation import (CityData, ProtocolConfig, band_auc, pearson,
                                  run_backtest)
-from denguegp.gp import _chol_with_jitter, fit, log_marginal_likelihood, predict
+from denguegp.gp import (_chol_with_jitter, fit, lml_value_and_gradient,
+                         log_marginal_likelihood, predict)
 from denguegp.hyperopt import OptimizerConfig, optimize
-from denguegp.kernels import (PARAM_NAMES, KernelInput, composite_kernel,
-                              gram_matrix, kernel_gradients)
+from denguegp.kernels import PARAM_NAMES, composite_kernel, gram_from_arrays
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
 
 from test_gp import finite_difference_lml
-from test_kernels import (finite_difference_kernel, random_hyperparameters,
-                          random_input)
+from test_kernels import (finite_difference_kernel, pairwise_gradients,
+                          random_design, random_hyperparameters, random_input)
 
 
 def announce(capsys, text):
@@ -45,10 +45,10 @@ def conditioning_instances(seed=101, count=50):
     for _ in range(count):
         n = int(rng.integers(2, 9))
         h = random_hyperparameters(rng)
-        inputs = [random_input(rng, max_week=150) for _ in range(n)]
+        weeks, X = random_design(rng, n, max_week=150)
         y = rng.normal(size=n)
         query = random_input(rng, max_week=150)
-        out.append((inputs, y, h, query))
+        out.append((weeks, X, y, h, query))
     return out
 
 
@@ -56,14 +56,15 @@ class TestAcceptance:
     def test_criterion_01_predictive_exactness(self, capsys):
         t0 = time.perf_counter()
         max_err = 0.0
-        for inputs, y, h, query in conditioning_instances():
-            model = fit(inputs, y, h)
-            dist = predict(model, query)
+        for weeks, X, y, h, query in conditioning_instances():
+            model = fit(weeks, X, y, h)
+            dist = predict(model, *query)
 
-            K = gram_matrix(inputs, h, include_noise=True)
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
             Kinv = np.linalg.inv(K)
-            kstar = np.array([composite_kernel(x, query, h) for x in inputs])
-            kss = composite_kernel(query, query, h)
+            kstar = np.array([composite_kernel(w, x, *query, h)
+                              for w, x in zip(weeks, X)])
+            kss = composite_kernel(*query, *query, h)
             mean = float(kstar @ Kinv @ y)
             variance = float(kss - kstar @ Kinv @ kstar)
             max_err = max(max_err, abs(dist.mean - mean),
@@ -79,9 +80,9 @@ class TestAcceptance:
     def test_criterion_02_likelihood_exactness(self, capsys):
         t0 = time.perf_counter()
         max_err = 0.0
-        for inputs, y, h, _ in conditioning_instances():
-            got = log_marginal_likelihood(inputs, y, h)
-            K = gram_matrix(inputs, h, include_noise=True)
+        for weeks, X, y, h, _ in conditioning_instances():
+            got = log_marginal_likelihood(weeks, X, y, h)
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
             sign, logdet = np.linalg.slogdet(K)
             assert sign > 0
             expected = -0.5 * (float(y @ np.linalg.inv(K) @ y) + logdet
@@ -106,20 +107,19 @@ class TestAcceptance:
         for _ in range(20):
             a, b = random_input(rng), random_input(rng)
             h = random_hyperparameters(rng)
-            grad = kernel_gradients(a, b, h)
+            grad = pairwise_gradients(a, b, h)
             for idx in range(len(PARAM_NAMES)):
                 fd = finite_difference_kernel(a, b, h, idx, step=1e-5)
                 worst = max(worst, rel_err(grad[idx], fd))
 
-        from denguegp.gp import lml_gradient
         for _ in range(20):
             n = int(rng.integers(3, 11))
             h = random_hyperparameters(rng)
-            inputs = [random_input(rng, max_week=150) for _ in range(n)]
+            weeks, X = random_design(rng, n, max_week=150)
             y = rng.normal(size=n)
-            grad = lml_gradient(inputs, y, h)
+            _, grad = lml_value_and_gradient(weeks, X, y, h)
             for idx in range(len(PARAM_NAMES)):
-                fd = finite_difference_lml(inputs, y, h, idx, step=1e-5)
+                fd = finite_difference_lml(weeks, X, y, h, idx, step=1e-5)
                 worst = max(worst, rel_err(grad[idx], fd))
 
         elapsed = time.perf_counter() - t0
@@ -136,8 +136,8 @@ class TestAcceptance:
         worst_ratio = 0.0
         for _ in range(100):
             h = random_hyperparameters(rng)
-            inputs = [random_input(rng, max_week=300) for _ in range(50)]
-            K = gram_matrix(inputs, h, include_noise=True)
+            weeks, X = random_design(rng, 50, max_week=300)
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
             _, jitter = _chol_with_jitter(K)
             bound = 1e-8 * float(np.mean(np.diag(K)))
             worst_ratio = max(worst_ratio, jitter / bound)
@@ -157,11 +157,11 @@ class TestAcceptance:
             spec = strongly_periodic_spec(seed=s)
             draw = draw_from_prior(spec)
             targets = draw.log_observations - draw.log_observations.mean()
-            inputs = [KernelInput(int(w), draw.standardized_covariates[w - 1])
-                      for w in range(1, spec.weeks + 1)]
-            generating_lml = log_marginal_likelihood(inputs, targets,
+            weeks = np.arange(1, spec.weeks + 1)
+            X = draw.standardized_covariates
+            generating_lml = log_marginal_likelihood(weeks, X, targets,
                                                      spec.hyperparameters)
-            h, lml, _ = optimize(inputs, targets,
+            h, lml, _ = optimize(weeks, X, targets,
                                  OptimizerConfig(restarts=3, seed=100 + s))
             hit = abs(h.period - 52.0) <= 2.0 and lml >= generating_lml - 1.0
             successes += hit

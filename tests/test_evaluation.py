@@ -169,12 +169,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(first_target=105, last_target=104)
 
-    def test_pipeline_options(self):
-        with pytest.raises(ValueError):
-            PipelineOptions(lag_min=2)
-        with pytest.raises(ValueError):
-            PipelineOptions(lag_min=20, lag_max=10)
-
 
 class TestTrainingView:
     def test_view_is_a_hard_copy(self):
@@ -262,7 +256,7 @@ class StubOptimizer:
         self.calls = 0
         self.fail_from = fail_from
 
-    def __call__(self, inputs, targets, config):
+    def __call__(self, weeks, X, targets, config):
         self.calls += 1
         if self.fail_from is not None and self.calls >= self.fail_from:
             raise ModelFitError("stub failure")
@@ -333,6 +327,21 @@ class TestBacktestProtocol:
         assert report.rows[0].predicted_dir is None
         assert report.n_failed >= 1
         assert len(report.rows) == 2
+
+    def test_gp_design_failure_is_a_gap_not_fatal(self, monkeypatch):
+        # humidity is flat through week 120, so every origin whose lag
+        # window still reaches into that stretch cannot build a design
+        city = synthetic_city(SynthSpec(weeks=160, seed=18))
+        covariates = city.covariates.copy()
+        covariates[:120, 2] = covariates[0, 2]
+        flat = make_city(city.dir_series.values, covariates)
+        monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
+        protocol = ProtocolConfig(first_target=145, last_target=156)
+        gp = run_backtest(flat, "gp", protocol=protocol)
+        lm = run_backtest(flat, "lm", protocol=protocol)
+        gaps = [r.target_week for r in gp.rows if r.predicted_dir is None]
+        assert 0 < gp.n_failed < len(gp.rows)
+        assert gaps == [r.target_week for r in lm.rows if r.predicted_dir is None]
 
     def test_ar_overflow_becomes_gap(self):
         # 12-week window [0]*10 + [10, 300] on the log scale fits a slope

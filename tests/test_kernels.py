@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters, KernelInput,
+from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays,
-                              gram_gradients, gram_matrix, kernel_gradients,
-                              kernel_vector, linear_ard, matern52, periodic,
-                              stack_inputs)
+                              gram_gradients, kernel_vector, linear_ard,
+                              matern52, periodic)
 
 # frozen high-precision evaluations of the closed forms
 MATERN_AT_ONE_LENGTHSCALE = 0.5239941088318203
@@ -40,8 +39,15 @@ def random_hyperparameters(rng) -> KernelHyperparameters:
     )
 
 
-def random_input(rng, max_week=300) -> KernelInput:
-    return KernelInput(int(rng.integers(1, max_week)), rng.normal(size=3))
+def random_input(rng, max_week=300) -> tuple:
+    """One (week, covariate row) pair."""
+    return int(rng.integers(1, max_week)), rng.normal(size=3)
+
+
+def random_design(rng, n, max_week=300) -> tuple:
+    """(weeks, X) for n random_input draws, in the same draw order."""
+    points = [random_input(rng, max_week) for _ in range(n)]
+    return np.array([w for w, _ in points]), np.array([x for _, x in points])
 
 
 class TestKernelHyperparameters:
@@ -146,55 +152,51 @@ class TestLinearArd:
 class TestCompositeKernel:
     def test_diagonal_with_zero_covariates(self):
         h = make_hyperparameters()
-        a = KernelInput(10, np.zeros(3))
         expected = h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
-        assert_allclose(composite_kernel(a, a, h), expected, rtol=1e-14)
+        assert_allclose(composite_kernel(10, np.zeros(3), 10, np.zeros(3), h),
+                        expected, rtol=1e-14)
 
     def test_lag_of_one_period(self):
         h = make_hyperparameters()
-        a = KernelInput(10, np.zeros(3))
-        b = KernelInput(10 + 52, np.zeros(3))
         # periodic factor is exactly 1 at a full period
         expected = (matern52(52.0, h.sigma_loc_sq, h.ell_loc)
                     + matern52(52.0, h.sigma_qp_sq, h.ell_qp) * 1.0
                     + h.sigma_lin_sq)
-        assert_allclose(composite_kernel(a, b, h), expected, rtol=1e-12)
+        assert_allclose(composite_kernel(10, np.zeros(3), 10 + 52, np.zeros(3), h),
+                        expected, rtol=1e-12)
 
     def test_equals_sum_of_components(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             h = random_hyperparameters(rng)
-            a, b = random_input(rng), random_input(rng)
-            dt = abs(a.week - b.week)
+            (wa, xa), (wb, xb) = random_input(rng), random_input(rng)
+            dt = abs(wa - wb)
             expected = (matern52(dt, h.sigma_loc_sq, h.ell_loc)
                         + matern52(dt, h.sigma_qp_sq, h.ell_qp)
                         * periodic(dt, h.period, h.ell_per)
-                        + linear_ard(a.covariates, b.covariates,
-                                     h.sigma_lin_sq, h.ard_lengthscales))
-            assert_allclose(composite_kernel(a, b, h), expected, rtol=1e-12)
+                        + linear_ard(xa, xb, h.sigma_lin_sq, h.ard_lengthscales))
+            assert_allclose(composite_kernel(wa, xa, wb, xb, h), expected, rtol=1e-12)
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             h = random_hyperparameters(rng)
             a, b = random_input(rng), random_input(rng)
-            assert composite_kernel(a, b, h) == composite_kernel(b, a, h)
+            assert composite_kernel(*a, *b, h) == composite_kernel(*b, *a, h)
 
     def test_time_parts_are_stationary(self):
         h = make_hyperparameters()
         x = np.array([0.3, -1.2, 0.8])
         for shift in (1, 13, 117):
-            a, b = KernelInput(5, x), KernelInput(31, x)
-            a2, b2 = KernelInput(5 + shift, x), KernelInput(31 + shift, x)
-            assert_allclose(composite_kernel(a2, b2, h),
-                            composite_kernel(a, b, h), rtol=1e-14)
+            assert_allclose(composite_kernel(5 + shift, x, 31 + shift, x, h),
+                            composite_kernel(5, x, 31, x, h), rtol=1e-14)
 
 
 class TestGramMatrix:
     def test_single_input_no_noise(self):
         h = make_hyperparameters()
         x = np.array([0.5, -0.25, 2.0])
-        K = gram_matrix([KernelInput(7, x)], h, include_noise=False)
+        K = gram_from_arrays([7], x[None, :], h, include_noise=False)
         expected = (h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
                     + np.sum(x ** 2 / h.ard_lengthscales ** 2))
         assert K.shape == (1, 1)
@@ -203,51 +205,48 @@ class TestGramMatrix:
     def test_noise_adds_to_diagonal_only(self):
         rng = np.random.default_rng(5)
         h = make_hyperparameters()
-        inputs = [random_input(rng) for _ in range(12)]
-        plain = gram_matrix(inputs, h, include_noise=False)
-        noisy = gram_matrix(inputs, h, include_noise=True)
+        weeks, X = random_design(rng, 12)
+        plain = gram_from_arrays(weeks, X, h, include_noise=False)
+        noisy = gram_from_arrays(weeks, X, h, include_noise=True)
         assert_allclose(noisy - plain, h.sigma_noise_sq * np.eye(12), atol=0)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             h = random_hyperparameters(rng)
-            inputs = [random_input(rng) for _ in range(20)]
-            K = gram_matrix(inputs, h, include_noise=True)
+            weeks, X = random_design(rng, 20)
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
             assert np.array_equal(K, K.T)
 
     def test_matches_pairwise_kernel(self):
         rng = np.random.default_rng(8)
         h = random_hyperparameters(rng)
-        inputs = [random_input(rng) for _ in range(8)]
-        K = gram_matrix(inputs, h, include_noise=False)
+        weeks, X = random_design(rng, 8)
+        K = gram_from_arrays(weeks, X, h, include_noise=False)
         for i in range(8):
             for j in range(8):
-                assert_allclose(K[i, j], composite_kernel(inputs[i], inputs[j], h),
+                assert_allclose(K[i, j],
+                                composite_kernel(weeks[i], X[i], weeks[j], X[j], h),
                                 rtol=1e-12, atol=1e-15)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             h = random_hyperparameters(rng)
-            inputs = [random_input(rng) for _ in range(15)]
-            K = gram_matrix(inputs, h, include_noise=False)
+            weeks, X = random_design(rng, 15)
+            K = gram_from_arrays(weeks, X, h, include_noise=False)
             min_eig = np.linalg.eigvalsh(K).min()
             assert min_eig >= -1e-8 * np.trace(K)
 
     def test_kernel_vector_matches_pairwise(self):
         rng = np.random.default_rng(10)
         h = random_hyperparameters(rng)
-        inputs = [random_input(rng) for _ in range(9)]
-        weeks, cov = stack_inputs(inputs)
-        q = random_input(rng)
-        kstar = kernel_vector(weeks, cov, q, h)
+        weeks, X = random_design(rng, 9)
+        qw, qx = random_input(rng)
+        kstar = kernel_vector(weeks, X, qw, qx, h)
         for i in range(9):
-            assert_allclose(kstar[i], composite_kernel(inputs[i], q, h), rtol=1e-12)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            gram_matrix([], make_hyperparameters(), include_noise=True)
+            assert_allclose(kstar[i], composite_kernel(weeks[i], X[i], qw, qx, h),
+                            rtol=1e-12)
 
 
 def finite_difference_kernel(a, b, h, index, step=1e-5):
@@ -257,36 +256,44 @@ def finite_difference_kernel(a, b, h, index, step=1e-5):
     minus[index] -= step
     hp = KernelHyperparameters.from_log_vector(plus)
     hm = KernelHyperparameters.from_log_vector(minus)
-    return (composite_kernel(a, b, hp) - composite_kernel(a, b, hm)) / (2 * step)
+    return (composite_kernel(*a, *b, hp) - composite_kernel(*a, *b, hm)) / (2 * step)
+
+
+def pairwise_gradients(a, b, h):
+    """Gradients of composite_kernel(a, b, h): the off-diagonal entry of
+    the Gram gradient stack over the 2-point design [a, b]."""
+    weeks = np.array([a[0], b[0]])
+    X = np.vstack([a[1], b[1]])
+    return gram_gradients(weeks, X, h)[:, 0, 1]
 
 
 class TestKernelGradients:
     def test_variance_gradient_at_zero_lag(self):
         h = make_hyperparameters()
-        a = KernelInput(4, np.zeros(3))
-        grads = kernel_gradients(a, a, h)
+        a = (4, np.zeros(3))
+        grads = pairwise_gradients(a, a, h)
         idx = PARAM_NAMES.index("sigma_loc_sq")
         assert_allclose(grads[idx], h.sigma_loc_sq, rtol=1e-14)
 
     def test_period_gradient_vanishes_at_zero_lag(self):
         rng = np.random.default_rng(2)
         h = random_hyperparameters(rng)
-        a = KernelInput(9, rng.normal(size=3))
-        grads = kernel_gradients(a, a, h)
+        a = (9, rng.normal(size=3))
+        grads = pairwise_gradients(a, a, h)
         assert grads[PARAM_NAMES.index("period")] == 0.0
 
     def test_noise_has_no_pairwise_gradient(self):
         rng = np.random.default_rng(13)
         h = random_hyperparameters(rng)
         a, b = random_input(rng), random_input(rng)
-        assert kernel_gradients(a, b, h)[PARAM_NAMES.index("sigma_noise_sq")] == 0.0
+        assert pairwise_gradients(a, b, h)[PARAM_NAMES.index("sigma_noise_sq")] == 0.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_hyperparameters(rng)
             a, b = random_input(rng, max_week=150), random_input(rng, max_week=150)
-            grads = kernel_gradients(a, b, h)
+            grads = pairwise_gradients(a, b, h)
             for idx in range(len(PARAM_NAMES) - 1):  # noise-free pairwise kernel
                 fd = finite_difference_kernel(a, b, h, idx)
                 assert_allclose(grads[idx], fd, rtol=1e-5, atol=1e-8)
@@ -294,25 +301,15 @@ class TestKernelGradients:
     def test_gram_gradient_noise_slice(self):
         rng = np.random.default_rng(19)
         h = random_hyperparameters(rng)
-        inputs = [random_input(rng) for _ in range(6)]
-        weeks, cov = stack_inputs(inputs)
-        stack = gram_gradients(weeks, cov, h, include_noise=True)
+        weeks, X = random_design(rng, 6)
+        stack = gram_gradients(weeks, X, h)
         idx = PARAM_NAMES.index("sigma_noise_sq")
         assert_allclose(stack[idx], h.sigma_noise_sq * np.eye(6), atol=0)
 
     def test_gram_gradients_are_symmetric(self):
         rng = np.random.default_rng(23)
         h = random_hyperparameters(rng)
-        inputs = [random_input(rng) for _ in range(10)]
-        weeks, cov = stack_inputs(inputs)
-        stack = gram_gradients(weeks, cov, h, include_noise=True)
+        weeks, X = random_design(rng, 10)
+        stack = gram_gradients(weeks, X, h)
         for k in range(stack.shape[0]):
             assert np.array_equal(stack[k], stack[k].T)
-
-    def test_gram_from_arrays_matches_gram_matrix(self):
-        rng = np.random.default_rng(29)
-        h = random_hyperparameters(rng)
-        inputs = [random_input(rng) for _ in range(11)]
-        weeks, cov = stack_inputs(inputs)
-        assert np.array_equal(gram_from_arrays(weeks, cov, h, include_noise=True),
-                              gram_matrix(inputs, h, include_noise=True))

@@ -1,15 +1,18 @@
 """Transform pipeline: log scaling, training-window centering and
 standardization, lag selection, and additive-outlier cleaning."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from denguegp.data import WeeklySeries
+from denguegp.data import WeeklySeries, compute_dir
 from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState,
                                  center_response, inverse_log_transform,
                                  log_transform, remove_additive_outliers,
                                  select_lag, standardize_covariates)
+from denguegp.synth import draw_from_prior, low_incidence_spec
 
 
 def series(values, start_week=1, city_id="c1"):
@@ -190,6 +193,19 @@ class TestRemoveAdditiveOutliers:
         z[60] += 3.0
         _, flagged = remove_additive_outliers(series(np.expm1(z), start_week=100))
         assert 160 in flagged
+
+    def test_patches_never_go_negative(self):
+        # a quiet prior draw at 400k population: several flagged weeks sit
+        # next to zero counts, where the AR fitted value is below log1p(0)
+        draw = draw_from_prior(dataclasses.replace(low_incidence_spec(), seed=310))
+        counts = np.round(draw.dir_series.values * 400000 / 1e5)
+        dir_values = compute_dir(series(counts), 400000).values
+        patched, flagged = remove_additive_outliers(series(dir_values[:101]))
+        assert len(flagged) > 0
+        assert patched.values.min() == 0.0
+        log_transform(patched)  # must not raise
+        untouched = [i for i in range(101) if i + 1 not in flagged]
+        assert np.array_equal(patched.values[untouched], dir_values[:101][untouched])
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from denguegp.data import compute_dir, load_dataset
-from denguegp.kernels import KernelInput, composite_kernel
+from denguegp.kernels import composite_kernel
 from denguegp.synth import (CovariateProcess, SynthSpec, draw_from_prior,
                             low_incidence_spec, make_multi_city_fixture,
                             strongly_periodic_spec)
@@ -87,9 +87,9 @@ class TestDrawFromPrior:
                  for s in range(400)]
         week_index = 40
         samples = np.array([d.latent[week_index] for d in draws])
-        x = KernelInput(week_index + 1,
-                        draws[0].standardized_covariates[week_index])
-        expected = composite_kernel(x, x, spec.hyperparameters)
+        x = draws[0].standardized_covariates[week_index]
+        expected = composite_kernel(week_index + 1, x, week_index + 1, x,
+                                    spec.hyperparameters)
         assert float(np.var(samples)) == pytest.approx(expected, rel=0.15)
 
     def test_low_incidence_stays_below_medium_band(self):
