@@ -176,6 +176,14 @@ def _trained_city(cfg: RunConfig, ds) -> CityData:
     return CityData.from_dataset(ds, cfg.city)
 
 
+def _validated(config_class, **settings):
+    """Build a settings object; a rejected value is an input error (exit 2)."""
+    try:
+        return config_class(**settings)
+    except ValueError as e:
+        raise DataValidationError(f"bad setting value: {e}") from None
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     ds = _load(cfg)
     summary = ds.summary()
@@ -191,10 +199,10 @@ def cmd_train(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"need at least 104 training weeks, have {city.dir_series.n_weeks}")
 
+    optimizer_config = _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed)
     view = city.training_view(city.dir_series.end_week)
     weeks, X, y, state = build_design(view, PipelineOptions())
-    h, lml, diagnostics = optimize(
-        weeks, X, y, OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed))
+    h, lml, diagnostics = optimize(weeks, X, y, optimizer_config)
 
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
     _write_json(model_path, {
@@ -268,11 +276,11 @@ def cmd_backtest(cfg: RunConfig) -> int:
             f"no cities with population >= {cfg.min_population}")
 
     models = MODELS if cfg.model == "all" else (cfg.model,)
-    protocol = ProtocolConfig(horizon=cfg.horizon, first_target=cfg.first_target,
-                              last_target=cfg.last_target, refit_every=cfg.refit_every)
+    protocol = _validated(ProtocolConfig, horizon=cfg.horizon, first_target=cfg.first_target,
+                          last_target=cfg.last_target, refit_every=cfg.refit_every)
     options = PipelineOptions()
     tasks = [(CityData.from_dataset(ds, cid), models, protocol,
-              OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed + idx), options)
+              _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed + idx), options)
              for idx, cid in enumerate(city_ids)]
 
     if cfg.jobs > 1:

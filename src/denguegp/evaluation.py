@@ -19,8 +19,8 @@ from .baselines import ar_fit, ar_forecast4, lm_fit, lm_predict
 from .data import Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
-from .preprocess import (TransformState, center_response, log_transform,
-                         remove_additive_outliers, select_lag,
+from .preprocess import (LAG_MIN, TransformState, center_response,
+                         log_transform, remove_additive_outliers, select_lag,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
@@ -50,8 +50,8 @@ class ProtocolConfig:
     refit_every: int = 52
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= LAG_MIN:
+            raise ValueError(f"horizon must lie in [1, {LAG_MIN}], the shortest lag")
         if self.first_target <= self.horizon:
             raise ValueError("first_target must exceed the horizon")
         if self.refit_every < 1:

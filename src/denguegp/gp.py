@@ -173,8 +173,7 @@ def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
         raise ValueError("non-finite kernel evaluation at query")
     mean = float(kstar @ model.alpha)
     v = solve_triangular(model.chol, kstar, lower=True)
-    kss = (h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
-           + float(np.sum(x**2 / h.ard_lengthscales**2)))
+    kss = float(kernel_vector([week], x[None, :], week, x, h)[0])
     variance = kss - float(v @ v)
     if variance < 0.0:
         if variance < -VARIANCE_CLAMP:
@@ -213,10 +212,11 @@ def lml_value_and_gradient(weeks, X, targets,
                            h: KernelHyperparameters) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient w.r.t. all log-hyperparameters.
 
-    Gradient entries follow kernels.PARAM_NAMES and use the trace form
-    1/2 tr((alpha alpha^T - (K + sigma^2 I)^-1) dK/dtheta).  The design
-    is not validated here: this runs once per optimizer evaluation, and
-    optimize validates it once up front.
+    Gradient entries follow kernels.PARAM_NAMES: 1/2 tr(W dK/dtheta) with
+    W = alpha alpha^T - (K + sigma^2 I)^-1 (GPML eq. 5.9), which
+    kernels.gram_gradients sums by lag.  The design is not validated
+    here: this runs once per optimizer evaluation, and optimize
+    validates it once up front.
     """
     targets = np.asarray(targets, dtype=float)
     K = gram_from_arrays(weeks, X, h, include_noise=True)
@@ -226,6 +226,4 @@ def lml_value_and_gradient(weeks, X, targets,
 
     K_inv = cho_solve((L, True), np.eye(targets.size))
     W = np.outer(alpha, alpha) - K_inv
-    dK = gram_gradients(weeks, X, h)
-    grad = 0.5 * np.einsum("ij,kij->k", W, dK)
-    return value, grad
+    return value, 0.5 * gram_gradients(weeks, X, h, W)

@@ -15,11 +15,11 @@ attached to each week.
 * k_lin  -- linear kernel with a bias term and one inverse-squared
   lengthscale per covariate (large lengthscale = irrelevant covariate).
 
-A design is passed as two arrays: n week indices and an (n, 3) matrix
-of covariate rows.  Observation noise enters the Gram matrix as an
-additive sigma_noise^2 on the diagonal.  All gradients are taken with
-respect to the natural logarithm of each hyperparameter, which is the
-parameterization the optimizer works in.
+A design is n whole-number week indices and an (n, 3) matrix of
+covariate rows; the time parts are evaluated once per lag.  Observation
+noise adds sigma_noise^2 to the Gram diagonal.  All gradients are taken
+with respect to the natural logarithm of each hyperparameter, which is
+the parameterization the optimizer works in.
 """
 
 from __future__ import annotations
@@ -175,19 +175,44 @@ def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> floa
     return float(k1 + k2 + k3)
 
 
+def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
+    """d k_time / d log theta at week distances dt, one row per
+    PARAM_NAMES[:6].  Rows 0 and 2 (the variances) are k_loc and
+    k_qp * k_per, so they add up to the time kernel itself."""
+    dt = np.asarray(dt, dtype=float)
+    k_per = periodic(dt, h.period, h.ell_per)
+    k_qp = matern52(dt, h.sigma_qp_sq, h.ell_qp) * k_per
+    # d matern52 / d log(l) = variance * exp(-a) a^2 (1 + a) / 3, a = sqrt(5) dt / l
+    a_loc, a_qp = SQRT5 * dt / h.ell_loc, SQRT5 * dt / h.ell_qp
+    u = np.pi * dt / h.period
+    return np.stack([
+        matern52(dt, h.sigma_loc_sq, h.ell_loc),
+        h.sigma_loc_sq * np.exp(-a_loc) * a_loc * a_loc * (1.0 + a_loc) / 3.0,
+        k_qp,
+        h.sigma_qp_sq * np.exp(-a_qp) * a_qp * a_qp * (1.0 + a_qp) / 3.0 * k_per,
+        k_qp * 4.0 * np.sin(u) ** 2 / (h.ell_per**2),
+        k_qp * 2.0 * u * np.sin(2.0 * u) / (h.ell_per**2),
+    ])
+
+
+def _by_lag(weeks, h: KernelHyperparameters) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-week distances |week_i - week_j| and _time_parts at lags 0..max."""
+    weeks = np.asarray(weeks, dtype=float)
+    if not (np.all(np.isfinite(weeks)) and np.array_equal(weeks, np.rint(weeks))):
+        raise ValueError("design weeks must be whole numbers")
+    w = weeks.astype(np.int64)
+    return np.abs(w[:, None] - w[None, :]), _time_parts(np.arange(np.ptp(w) + 1.0), h)
+
+
 def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool) -> np.ndarray:
     """Gram matrix over a design of n weeks and its (n, 3) covariate rows.
 
-    The upper triangle is computed and mirrored so the result is exactly
-    symmetric (BLAS matmuls are not).
+    The time kernel is gathered by lag.  The upper triangle is mirrored
+    so the result is exactly symmetric (BLAS matmuls are not).
     """
-    weeks = np.asarray(weeks, dtype=float)
+    lag, parts = _by_lag(weeks, h)
     X = np.asarray(X, dtype=float)
-    dt = np.abs(weeks[:, None] - weeks[None, :])
-    k = matern52(dt, h.sigma_loc_sq, h.ell_loc)
-    k += matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
-    ell = h.ard_lengthscales
-    k += h.sigma_lin_sq + (X / (ell * ell)) @ X.T
+    k = (parts[0] + parts[2])[lag] + (h.sigma_lin_sq + (X / h.ard_lengthscales**2) @ X.T)
     k = np.triu(k) + np.triu(k, 1).T
     if include_noise:
         k[np.diag_indices_from(k)] += h.sigma_noise_sq
@@ -196,53 +221,20 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool) ->
 
 def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     """Covariances between one query (week, x) and each design row, noise-free."""
-    dt = np.abs(np.asarray(weeks, dtype=float) - float(week))
-    k = matern52(dt, h.sigma_loc_sq, h.ell_loc)
-    k += matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
-    ell = h.ard_lengthscales
-    k += h.sigma_lin_sq + np.asarray(X, dtype=float) @ (x / (ell * ell))
-    return k
+    parts = _time_parts(np.abs(np.asarray(weeks, dtype=float) - float(week)), h)
+    linear = h.sigma_lin_sq + np.asarray(X, dtype=float) @ (x / h.ard_lengthscales**2)
+    return parts[0] + parts[2] + linear
 
 
-def _matern_log_ell_grad(dt, variance, lengthscale):
-    # d k / d log(l) for the Matern-5/2 part: variance * exp(-a) a^2 (1+a) / 3,
-    # with a = sqrt(5) dt / l.
-    a = SQRT5 * np.asarray(dt, dtype=float) / lengthscale
-    return variance * np.exp(-a) * a * a * (1.0 + a) / 3.0
-
-
-def gram_gradients(weeks, X, h: KernelHyperparameters) -> np.ndarray:
-    """Stack of d(K + sigma_noise^2 I)/d(log theta), one per PARAM_NAMES entry.
-
-    Used by the marginal-likelihood gradient.  Each slice is mirrored
-    from its upper triangle for exact symmetry, matching the Gram build.
-    Off-diagonal entries are the pairwise kernel's gradients; the noise
-    slice is nonzero on the diagonal only.
+def gram_gradients(weeks, X, h: KernelHyperparameters, W) -> np.ndarray:
+    """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta) for an n x n
+    array W, in PARAM_NAMES order, without forming any n x n gradient:
+    time gradients are dot products with W summed by lag, ARD gradients
+    quadratic forms, bias sigma_lin^2 sum(W) and noise sigma_noise^2 tr(W).
     """
-    weeks = np.asarray(weeks, dtype=float)
+    lag, parts = _by_lag(weeks, h)
     X = np.asarray(X, dtype=float)
-    n = weeks.size
-    dt = np.abs(weeks[:, None] - weeks[None, :])
-
-    k_loc = matern52(dt, h.sigma_loc_sq, h.ell_loc)
-    m_qp = matern52(dt, h.sigma_qp_sq, h.ell_qp)
-    k_per = periodic(dt, h.period, h.ell_per)
-    u = np.pi * dt / h.period
-    sin_u = np.sin(u)
-
-    grads = np.empty((len(PARAM_NAMES), n, n))
-    grads[0] = k_loc
-    grads[1] = _matern_log_ell_grad(dt, h.sigma_loc_sq, h.ell_loc)
-    grads[2] = m_qp * k_per
-    grads[3] = _matern_log_ell_grad(dt, h.sigma_qp_sq, h.ell_qp) * k_per
-    grads[4] = m_qp * k_per * 4.0 * sin_u * sin_u / (h.ell_per**2)
-    grads[5] = m_qp * k_per * 2.0 * u * np.sin(2.0 * u) / (h.ell_per**2)
-    grads[6] = np.full((n, n), h.sigma_lin_sq)
-    ell = h.ard_lengthscales
-    for d in range(COVARIATE_DIM):
-        grads[7 + d] = -2.0 * np.outer(X[:, d], X[:, d]) / (ell[d] * ell[d])
-    grads[10] = h.sigma_noise_sq * np.eye(n)
-
-    for i in range(len(PARAM_NAMES)):
-        grads[i] = np.triu(grads[i]) + np.triu(grads[i], 1).T
-    return grads
+    time = parts @ np.bincount(lag.ravel(), weights=W.ravel(), minlength=parts.shape[1])
+    ard = -2.0 * np.sum(X * (W @ X), axis=0) / h.ard_lengthscales**2
+    return np.concatenate([time, [h.sigma_lin_sq * W.sum()], ard,
+                           [h.sigma_noise_sq * np.trace(W)]])

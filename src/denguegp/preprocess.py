@@ -24,6 +24,9 @@ LAG_MAX = 26
 
 _MAD_TO_SD = 1.4826
 
+_OUTLIER_CRITICAL_VALUE = 3.5
+_OUTLIER_MAX_ITERATIONS = 10
+
 
 @dataclass(frozen=True)
 class TransformState:
@@ -116,8 +119,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
-               start_week: int = 1, lag_min: int = LAG_MIN, lag_max: int = LAG_MAX) -> int:
-    """Lag maximizing |corr(covariate shifted lag weeks forward, target)|.
+               start_week: int = 1) -> int:
+    """Lag in LAG_MIN..LAG_MAX maximizing |corr(lagged covariate, target)|.
 
     Both arrays are week-aligned from ``start_week``.  Only target weeks
     up to ``training_end`` enter the correlation; ties break toward the
@@ -128,11 +131,11 @@ def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
     n_train = training_end - start_week + 1
     if n_train > min(covariate.size, target.size):
         raise ValueError("training_end must fall inside both series")
-    if n_train <= lag_max + 10:
-        raise ValueError(f"training window too short for lags up to {lag_max}")
+    if n_train <= LAG_MAX + 10:
+        raise ValueError(f"training window too short for lags up to {LAG_MAX}")
 
     best_lag, best_abs = None, -1.0
-    for lag in range(lag_min, lag_max + 1):
+    for lag in range(LAG_MIN, LAG_MAX + 1):
         # target week w pairs with covariate week w - lag
         t = target[lag:n_train]
         c = covariate[: n_train - lag]
@@ -174,23 +177,20 @@ def _select_ar_order(z: np.ndarray, max_order: int = 4) -> int:
     return best_order
 
 
-def remove_additive_outliers(series: WeeklySeries, critical_value: float = 3.5,
-                             max_iterations: int = 10) -> tuple[WeeklySeries, list[int]]:
+def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[int]]:
     """Detect and patch single-week anomalies against an AR fit.
 
     Works on the log(1 + y) scale.  Each round fits an AR model (order by
     AIC over 1..4), scores every week with the outlier t-ratio built from
     the AR pi-weights and a MAD residual scale, and replaces the worst
-    week with its fitted value while the ratio exceeds ``critical_value``
-    (at most ``max_iterations`` rounds).  Patched values are floored at
-    zero on the natural scale.  The first ``order`` weeks carry
-    no residual and are never flagged.
+    week with its fitted value while the ratio exceeds
+    _OUTLIER_CRITICAL_VALUE (at most _OUTLIER_MAX_ITERATIONS rounds).
+    Patched values are floored at zero on the natural scale.  The first
+    ``order`` weeks carry no residual and are never flagged.
 
     Returns the patched copy and the flagged week indices, in the order
     they were flagged.
     """
-    if critical_value <= 0:
-        raise ValueError("critical_value must be positive")
     values = series.values
     if values.size < 20:
         raise ValueError("series too short for outlier screening (need >= 20)")
@@ -204,7 +204,7 @@ def remove_additive_outliers(series: WeeklySeries, critical_value: float = 3.5,
     if np.ptp(z) == 0:
         return WeeklySeries(series.city_id, series.start_week, values.copy()), flagged
 
-    for _ in range(max_iterations):
+    for _ in range(_OUTLIER_MAX_ITERATIONS):
         order = _select_ar_order(z)
         coef, fitted, resid = _fit_ar(z, order)
         sigma = _MAD_TO_SD * float(np.median(np.abs(resid - np.median(resid))))
@@ -229,7 +229,7 @@ def remove_additive_outliers(series: WeeklySeries, critical_value: float = 3.5,
             tau[t] = om * np.sqrt(den) / sigma
 
         worst = int(np.argmax(np.abs(tau)))
-        if abs(tau[worst]) <= critical_value:
+        if abs(tau[worst]) <= _OUTLIER_CRITICAL_VALUE:
             break
         if worst not in flagged:
             flagged.append(worst)

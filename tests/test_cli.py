@@ -224,6 +224,16 @@ class TestBacktestCommand:
         assert (read_bytes(os.path.join(parallel, "summary.json"))
                 == read_bytes(os.path.join(serial, "summary.json")))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "0"), ("--horizon", "8"), ("--restarts", "0"),
+        ("--refit-every", "0"), ("--first-target", "3")])
+    def test_invalid_setting_exits_2(self, sim_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(out),
+                     "--model", "lm", flag, value]) == 2
+        assert "bad setting value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_min_population_filter_can_exclude_everything(self, sim_dir, tmp_path, capsys):
         assert main(["backtest", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x"),
@@ -317,6 +327,11 @@ class TestTrainForecast:
         assert main(["train", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "--city" in capsys.readouterr().err
+
+    def test_zero_restarts_exits_2(self, sim_dir, tmp_path, capsys):
+        assert main(["train", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "x"),
+                     "--city", "C001", "--restarts", "0"]) == 2
+        assert "restarts" in capsys.readouterr().err
 
     def test_unknown_city_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["train", "--data-dir", sim_dir,

@@ -21,6 +21,7 @@ from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
 from denguegp.gp import ModelFitError
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.kernels import KernelHyperparameters
+from denguegp.preprocess import LAG_MIN
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
 
@@ -164,6 +165,9 @@ class TestConfigValidation:
             ProtocolConfig(horizon=0)
         with pytest.raises(ValueError):
             ProtocolConfig(horizon=10, first_target=10)
+        assert ProtocolConfig(horizon=LAG_MIN).horizon == LAG_MIN
+        with pytest.raises(ValueError, match="horizon"):
+            ProtocolConfig(horizon=LAG_MIN + 1)  # a lag could then be shorter
         with pytest.raises(ValueError):
             ProtocolConfig(refit_every=0)
         with pytest.raises(ValueError):

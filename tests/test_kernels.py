@@ -260,11 +260,18 @@ def finite_difference_kernel(a, b, h, index, step=1e-5):
 
 
 def pairwise_gradients(a, b, h):
-    """Gradients of composite_kernel(a, b, h): the off-diagonal entry of
-    the Gram gradient stack over the 2-point design [a, b]."""
+    """Gradients of composite_kernel(a, b, h): the (0, 1) entry of the
+    Gram gradients over the 2-point design [a, b], picked by W = e0 e1^T."""
     weeks = np.array([a[0], b[0]])
     X = np.vstack([a[1], b[1]])
-    return gram_gradients(weeks, X, h)[:, 0, 1]
+    return gram_gradients(weeks, X, h, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def irregular_design(rng, n):
+    """Whole-number weeks with gaps, repeats and no order, plus covariates."""
+    weeks = rng.choice(np.arange(1, 2 * n), size=n)
+    weeks[: n // 5] = weeks[n // 5: 2 * (n // 5)]  # force repeated weeks
+    return rng.permutation(weeks), rng.normal(size=(n, 3))
 
 
 class TestKernelGradients:
@@ -302,14 +309,38 @@ class TestKernelGradients:
         rng = np.random.default_rng(19)
         h = random_hyperparameters(rng)
         weeks, X = random_design(rng, 6)
-        stack = gram_gradients(weeks, X, h)
+        W = rng.normal(size=(6, 6))
+        grads = gram_gradients(weeks, X, h, W)
         idx = PARAM_NAMES.index("sigma_noise_sq")
-        assert_allclose(stack[idx], h.sigma_noise_sq * np.eye(6), atol=0)
+        assert grads[idx] == h.sigma_noise_sq * np.trace(W)
 
-    def test_gram_gradients_are_symmetric(self):
-        rng = np.random.default_rng(23)
-        h = random_hyperparameters(rng)
-        weeks, X = random_design(rng, 10)
-        stack = gram_gradients(weeks, X, h)
-        for k in range(stack.shape[0]):
-            assert np.array_equal(stack[k], stack[k].T)
+    def test_matches_dense_finite_differences(self):
+        """sum W * dK/dlog(theta) against a central difference of the
+        noisy Gram matrix, on designs the lag binning must get right."""
+        rng = np.random.default_rng(29)
+        step = 1e-5
+        for _ in range(10):
+            h = random_hyperparameters(rng)
+            weeks, X = irregular_design(rng, 30)
+            W = rng.normal(size=(30, 30))
+            W = W + W.T
+            grads = gram_gradients(weeks, X, h, W)
+            for idx in range(len(PARAM_NAMES)):
+                plus, minus = h.to_log_vector(), h.to_log_vector()
+                plus[idx] += step
+                minus[idx] -= step
+                dK = (gram_from_arrays(weeks, X, KernelHyperparameters.from_log_vector(plus),
+                                       include_noise=True)
+                      - gram_from_arrays(weeks, X, KernelHyperparameters.from_log_vector(minus),
+                                         include_noise=True)) / (2 * step)
+                expected = float(np.sum(W * dK))
+                scale = float(np.sum(np.abs(W * dK)))
+                assert abs(grads[idx] - expected) <= 1e-8 * scale + 1e-12, PARAM_NAMES[idx]
+
+    def test_fractional_weeks_rejected(self):
+        h = make_hyperparameters()
+        weeks, X = np.array([3.0, 4.5, 9.0]), np.zeros((3, 3))
+        with pytest.raises(ValueError, match="whole numbers"):
+            gram_from_arrays(weeks, X, h, include_noise=True)
+        with pytest.raises(ValueError, match="whole numbers"):
+            gram_gradients(weeks, X, h, np.eye(3))
