@@ -234,6 +234,8 @@ def cmd_forecast(cfg: RunConfig) -> int:
     end = int(payload["training_end_week"])
     if end > city.dir_series.end_week:
         raise DataValidationError("saved model was trained past this series end")
+    if cfg.horizon < 1:
+        raise DataValidationError(f"bad setting value: horizon must be >= 1, got {cfg.horizon}")
     if cfg.horizon > min(state.lags):
         raise DataValidationError(
             f"horizon {cfg.horizon} exceeds the shortest covariate lag {min(state.lags)}")
@@ -268,6 +270,8 @@ def _city_worker(task):
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
+    if cfg.jobs < 1:
+        raise DataValidationError(f"bad setting value: jobs must be >= 1, got {cfg.jobs}")
     ds = _load(cfg)
     city_ids = sorted(cid for cid, c in ds.cities.items()
                       if c.population >= cfg.min_population)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gp import ModelFitError, lml_value_and_gradient, validate_design
 from .kernels import PARAM_NAMES, KernelHyperparameters
@@ -103,6 +102,9 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     ModelFitError propagates.  Identical (weeks, X, targets, config) give
     bit-identical results.
     """
+    # imported here so commands that never optimize do not pay for it
+    from scipy.optimize import minimize
+
     weeks, X, targets = validate_design(weeks, X, targets)
     if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import WeeklySeries
 
@@ -109,15 +110,6 @@ def standardize_covariates(cov: np.ndarray, n_training_rows: int) -> tuple[np.nd
     return (cov - means) / stds, means, stds
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
-    if denom == 0:
-        raise ValueError("zero-variance overlap in lag correlation")
-    return float(np.sum(xc * yc) / denom)
-
-
 def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
                start_week: int = 1) -> int:
     """Lag in LAG_MIN..LAG_MAX maximizing |corr(lagged covariate, target)|.
@@ -134,15 +126,28 @@ def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
     if n_train <= LAG_MAX + 10:
         raise ValueError(f"training window too short for lags up to {LAG_MAX}")
 
-    best_lag, best_abs = None, -1.0
-    for lag in range(LAG_MIN, LAG_MAX + 1):
-        # target week w pairs with covariate week w - lag
-        t = target[lag:n_train]
-        c = covariate[: n_train - lag]
-        r = abs(_pearson(c, t))
-        if r > best_abs + 1e-15:
-            best_lag, best_abs = lag, r
-    return best_lag
+    # row i pairs target weeks lag..n_train-1 with covariate weeks
+    # 0..n_train-1-lag for lag = LAG_MIN + i; entries past each row's
+    # overlap are zero in both arrays and masked out of the centering
+    lags = np.arange(LAG_MIN, LAG_MAX + 1)
+    width = n_train - LAG_MIN
+    sizes = n_train - lags
+    mask = np.arange(width) < sizes[:, None]
+    padded = np.concatenate((target[:n_train], np.zeros(LAG_MAX - LAG_MIN)))
+    t = sliding_window_view(padded[LAG_MIN:], width)
+    c = np.where(mask, covariate[:width], 0.0)
+    tc = np.where(mask, t - (t.sum(axis=1) / sizes)[:, None], 0.0)
+    cc = np.where(mask, c - (c.sum(axis=1) / sizes)[:, None], 0.0)
+    denom = np.sqrt(np.sum(cc * cc, axis=1) * np.sum(tc * tc, axis=1))
+    if np.any(denom == 0):
+        raise ValueError("zero-variance overlap in lag correlation")
+    r = np.abs(np.sum(cc * tc, axis=1) / denom).tolist()
+
+    best = 0
+    for i in range(1, len(r)):
+        if r[i] > r[best] + 1e-15:
+            best = i
+    return LAG_MIN + best
 
 
 def _ar_design(z: np.ndarray, order: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +190,9 @@ def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[i
     the AR pi-weights and a MAD residual scale, and replaces the worst
     week with its fitted value while the ratio exceeds
     _OUTLIER_CRITICAL_VALUE (at most _OUTLIER_MAX_ITERATIONS rounds).
+    The worst week is the earliest whose |tau| is at least
+    max|tau| * (1 - 1e-12), so weeks tied in exact arithmetic (common on
+    low-count series) go to the earlier week whatever the rounding.
     Patched values are floored at zero on the natural scale.  The first
     ``order`` weeks carry no residual and are never flagged.
 
@@ -214,22 +222,19 @@ def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[i
             break
 
         # AO effect of an outlier at t on residuals: e_{t+k} += omega * pi_k
-        # with pi_0 = 1, pi_k = -phi_k.  Least-squares omega per position,
-        # then a t-ratio against the robust residual scale.
+        # with pi_0 = 1, pi_k = -phi_k, for k up to min(order, n-1-t).
+        # Least-squares omega per position, then a t-ratio against the
+        # robust residual scale.  Zero padding ends the sums at the series end.
         pi = np.concatenate(([1.0], -coef[1:]))
         n = z.size
+        windows = sliding_window_view(np.concatenate((resid, np.zeros(order))), order + 1)
+        den = np.cumsum(pi * pi)[np.minimum(order, n - 1 - np.arange(order, n))]
         tau = np.zeros(n)
-        omega = np.zeros(n)
-        for t in range(order, n):
-            ks = np.arange(0, min(order, n - 1 - t) + 1)
-            piks = pi[ks]
-            den = float(piks @ piks)
-            om = float(resid[t - order + ks] @ piks) / den
-            omega[t] = om
-            tau[t] = om * np.sqrt(den) / sigma
+        tau[order:] = (windows @ pi) / den * np.sqrt(den) / sigma
 
-        worst = int(np.argmax(np.abs(tau)))
-        if abs(tau[worst]) <= _OUTLIER_CRITICAL_VALUE:
+        abs_tau = np.abs(tau)
+        worst = int(np.argmax(abs_tau >= abs_tau.max() * (1.0 - 1e-12)))
+        if abs_tau[worst] <= _OUTLIER_CRITICAL_VALUE:
             break
         if worst not in flagged:
             flagged.append(worst)

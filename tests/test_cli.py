@@ -4,9 +4,13 @@ formats, exit codes, and run-to-run determinism."""
 import csv
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import denguegp
 from denguegp.cli import (FORECAST_HEADER, build_parser, main, resolve_config)
 from denguegp.data import DataValidationError
 
@@ -226,7 +230,8 @@ class TestBacktestCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "0"), ("--horizon", "8"), ("--restarts", "0"),
-        ("--refit-every", "0"), ("--first-target", "3")])
+        ("--refit-every", "0"), ("--first-target", "3"), ("--jobs", "0"),
+        ("--jobs", "-2")])
     def test_invalid_setting_exits_2(self, sim_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(out),
@@ -318,6 +323,17 @@ class TestTrainForecast:
             assert float(r[2]) >= 0.0
             assert r[6] == "gp"
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_forecast_nonpositive_horizon_exits_2(self, sim_dir, trained_dir, tmp_path,
+                                                  capsys, horizon):
+        out = tmp_path / "f"
+        out.mkdir()
+        shutil.copy(os.path.join(trained_dir, "model_C001.json"), out)
+        assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(out),
+                     "--city", "C001", "--horizon", horizon]) == 2
+        assert "bad setting value" in capsys.readouterr().err
+        assert not (out / "prediction_C001.csv").exists()
+
     def test_forecast_without_model_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["forecast", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "nomodel"), "--city", "C001"]) == 2
@@ -337,3 +353,14 @@ class TestTrainForecast:
         assert main(["train", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x"), "--city", "zzz"]) == 2
         assert "unknown city" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_optimizer_unloaded():
+    # commands that never optimize (simulate, ingest, lm/ar backtests)
+    # should not pay for importing scipy.optimize at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denguegp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, denguegp.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

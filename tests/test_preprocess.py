@@ -2,16 +2,18 @@
 standardization, lag selection, and additive-outlier cleaning."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from denguegp.data import WeeklySeries, compute_dir
-from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState,
-                                 center_response, inverse_log_transform,
-                                 log_transform, remove_additive_outliers,
-                                 select_lag, standardize_covariates)
+from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState, _fit_ar,
+                                 _select_ar_order, center_response,
+                                 inverse_log_transform, log_transform,
+                                 remove_additive_outliers, select_lag,
+                                 standardize_covariates)
 from denguegp.synth import draw_from_prior, low_incidence_spec
 
 
@@ -24,6 +26,14 @@ def ar1_log_series(rng, n=150, phi=0.6, noise_sd=0.3, level=2.0):
     for t in range(1, n):
         z[t] = phi * z[t - 1] + rng.normal(scale=noise_sd)
     return z + level
+
+
+def low_incidence_dir(seed, population=200000):
+    """DIR of a quiet prior draw rounded to whole cases: mostly 0-3 cases
+    a week, so many weeks are zero and many windows repeat."""
+    draw = draw_from_prior(dataclasses.replace(low_incidence_spec(), seed=seed))
+    counts = np.round(draw.dir_series.values * population / 1e5)
+    return compute_dir(series(counts), population).values, draw.raw_covariates
 
 
 class TestLogTransform:
@@ -130,6 +140,28 @@ class TestSelectLag:
             assert LAG_MIN <= lag <= LAG_MAX
             assert lag == brute_force_lag(covariate, target, 100)
 
+    def test_matches_brute_force_on_low_incidence_windows(self):
+        # zero-heavy cleaned log incidence against the draw's own climate
+        zero_shares = []
+        for seed in range(8):
+            dir_values, climate = low_incidence_dir(seed, population=100000)
+            for end in (60, 101, 137, 170, 209):
+                cleaned, _ = remove_additive_outliers(series(dir_values[:end]))
+                target = np.log1p(cleaned.values)
+                zero_shares.append(np.mean(target == 0))
+                for d in range(3):
+                    assert (select_lag(climate[:end, d], target, training_end=end)
+                            == brute_force_lag(climate[:end, d], target, end))
+        assert np.mean(zero_shares) > 0.3
+
+    def test_zero_variance_overlap_rejected(self):
+        # the covariate is flat over the overlap of the longest lag only
+        rng = np.random.default_rng(53)
+        covariate = np.concatenate([np.full(100, 25.0), rng.normal(size=LAG_MAX)])
+        with pytest.raises(ValueError, match="zero-variance"):
+            select_lag(covariate, rng.normal(size=covariate.size),
+                       training_end=covariate.size)
+
     def test_exact_tie_breaks_to_smaller_lag(self):
         # period-2 covariate makes |r| exactly 1 at every candidate lag
         covariate = np.tile([1.0, -1.0], 75)
@@ -152,7 +184,116 @@ class TestSelectLag:
                           training_end=37) is not None
 
 
+def brute_force_outliers(values):
+    """Per-week t-ratio loop: one dot product per week for omega_t and
+    its denominator, and the earliest week within 1e-12 of the largest
+    |tau| as the worst.  Returns the patched values and flagged indices."""
+    z = np.log1p(values.astype(float))
+    flagged = []
+    if np.ptp(z) == 0:
+        return values.copy(), flagged
+    for _ in range(10):
+        order = _select_ar_order(z)
+        coef, fitted, resid = _fit_ar(z, order)
+        sigma = 1.4826 * float(np.median(np.abs(resid - np.median(resid))))
+        if sigma == 0:
+            sigma = float(np.std(resid))
+        if sigma == 0:
+            break
+        pi = np.concatenate(([1.0], -coef[1:]))
+        n = z.size
+        tau = np.zeros(n)
+        for t in range(order, n):
+            ks = np.arange(0, min(order, n - 1 - t) + 1)
+            den = float(pi[ks] @ pi[ks])
+            tau[t] = float(resid[t - order + ks] @ pi[ks]) / den * np.sqrt(den) / sigma
+        abs_tau = np.abs(tau)
+        worst = int(np.flatnonzero(abs_tau >= abs_tau.max() * (1.0 - 1e-12))[0])
+        if abs_tau[worst] <= 3.5:
+            break
+        if worst not in flagged:
+            flagged.append(worst)
+        z[worst] = fitted[worst - order]
+    out = values.astype(float).copy()
+    for idx in flagged:
+        out[idx] = max(np.expm1(z[idx]), 0.0)
+    return out, flagged
+
+
+def assert_matches_brute_force(values, start_week=1):
+    patched, weeks = remove_additive_outliers(series(values, start_week=start_week))
+    expected, indices = brute_force_outliers(values)
+    assert weeks == [start_week + i for i in indices]
+    assert np.array_equal(patched.values, expected)
+    return indices
+
+
+# Counts of a quiet city (population 200000) through week 115.  Weeks 52
+# and 62 (indices 51 and 61) carry mirror-image neighbourhoods, 0 2 1 and
+# 1 2 0 cases, so under the AR(1) fit their |tau| are equal in exact
+# arithmetic.
+TIE_COUNTS = [
+    2, 3, 4, 2, 2, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 2, 1, 1, 1, 2, 1, 1, 1, 0, 1, 2, 0, 0, 1, 2, 2, 1, 1, 1, 1, 1,
+    0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 3, 2]
+
+
+def exact_abs_tau_squared(z, coef, order, t):
+    """|omega_t|^2 * den_t in rational arithmetic on the float inputs;
+    proportional to tau_t^2."""
+    q = [Fraction(float(c)) for c in coef]
+    pi = [Fraction(1)] + [-c for c in q[1:]]
+
+    def resid(s):
+        return Fraction(float(z[s])) - q[0] - sum(
+            q[i] * Fraction(float(z[s - i])) for i in range(1, order + 1))
+
+    ks = range(min(order, z.size - 1 - t) + 1)
+    num = sum(resid(t + k) * pi[k] for k in ks)
+    return num * num / sum(pi[k] * pi[k] for k in ks)
+
+
 class TestRemoveAdditiveOutliers:
+    def test_matches_brute_force_on_spiked_ar_series(self):
+        rng = np.random.default_rng(59)
+        n_flagged = 0
+        for i in range(40):
+            n = int(rng.integers(20, 220))
+            z = ar1_log_series(rng, n=n, phi=rng.uniform(-0.5, 0.9),
+                               noise_sd=rng.uniform(0.05, 0.5))
+            if i % 2:  # add an AR(2) term
+                z[2:] += 0.3 * (z[:-2] - z.mean())
+            spikes = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+            z[spikes] += rng.choice([-1.0, 1.0], size=spikes.size) * rng.uniform(1.0, 4.0, spikes.size)
+            n_flagged += len(assert_matches_brute_force(np.expm1(np.abs(z)),
+                                                        start_week=int(rng.integers(1, 50))))
+        assert n_flagged > 20
+
+    def test_matches_brute_force_on_low_incidence_draws(self):
+        n_flagged = 0
+        for seed in range(12):
+            dir_values, _ = low_incidence_dir(seed)
+            for end in (40, 101, 115, 152, 209):
+                n_flagged += len(assert_matches_brute_force(dir_values[:end]))
+        assert n_flagged > 50
+
+    def test_exact_tie_flags_earlier_week_first(self):
+        dir_values = compute_dir(series(TIE_COUNTS), 200000).values
+        z = np.log1p(dir_values)
+        order = _select_ar_order(z)
+        coef, _, _ = _fit_ar(z, order)
+        assert order == 1
+        assert (exact_abs_tau_squared(z, coef, order, 51)
+                == exact_abs_tau_squared(z, coef, order, 61)
+                == max(exact_abs_tau_squared(z, coef, order, t)
+                       for t in range(order, z.size)))
+
+        _, weeks = remove_additive_outliers(series(dir_values))
+        assert weeks[:2] == [52, 62]
+        assert_matches_brute_force(dir_values)
+
     def test_clean_series_not_flagged(self):
         rng = np.random.default_rng(31)
         values = np.expm1(ar1_log_series(rng))
@@ -197,9 +338,7 @@ class TestRemoveAdditiveOutliers:
     def test_patches_never_go_negative(self):
         # a quiet prior draw at 400k population: several flagged weeks sit
         # next to zero counts, where the AR fitted value is below log1p(0)
-        draw = draw_from_prior(dataclasses.replace(low_incidence_spec(), seed=310))
-        counts = np.round(draw.dir_series.values * 400000 / 1e5)
-        dir_values = compute_dir(series(counts), 400000).values
+        dir_values, _ = low_incidence_dir(310, population=400000)
         patched, flagged = remove_additive_outliers(series(dir_values[:101]))
         assert len(flagged) > 0
         assert patched.values.min() == 0.0
