@@ -5,7 +5,8 @@ observable up to the forecast origin, clean additive outliers, move to
 the log scale, pick a reporting lag per climate covariate, standardize,
 center, optimize the kernel hyperparameters by marginal likelihood, and
 finally predict the next four weeks with 95% intervals on the natural
-incidence scale.
+incidence scale.  The training view is the only leakage boundary:
+build_design estimates every statistic from the view alone.
 
 Run with:  python3 demos/02_fit_and_forecast.py   (takes a few seconds)
 """
@@ -13,7 +14,7 @@ Run with:  python3 demos/02_fit_and_forecast.py   (takes a few seconds)
 import dataclasses
 import time
 
-from denguegp.evaluation import PipelineOptions, TrainingView, build_design, query_row
+from denguegp.evaluation import TrainingView, build_design, query_row
 from denguegp.gp import fit, predict
 from denguegp.hyperopt import OptimizerConfig, optimize
 from denguegp.synth import draw_from_prior, strongly_periodic_spec
@@ -34,8 +35,7 @@ def main():
         dir_values=draw.dir_series.values[:TRAIN_END].copy(),
         covariates=draw.raw_covariates[:TRAIN_END].copy(),
     )
-    options = PipelineOptions()
-    weeks, X, y, state = build_design(view, options)
+    weeks, X, y, state = build_design(view)
     print("Preprocessing summary:")
     print(f"  outlier weeks patched      : {list(state.flagged_weeks) or 'none'}")
     print(f"  selected covariate lags    : rain {state.lags[0]}, "

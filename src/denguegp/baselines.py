@@ -3,17 +3,15 @@
 Two deliberately simple comparators: an ordinary least squares fit on the
 lagged standardized climate covariates, and an AR(1) refit each week on a
 short sliding window with the 4-week forecast obtained by iterating the
-one-step map.  Both consume the same log-scale response and the same
-protocol boundary as the main model.
+one-step map.  Both take plain arrays built from the same training view
+and log-scale response as the main model, and fit on all they are given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .data import WeeklySeries
 
 AR_WINDOW_WEEKS = 12
 FORECAST_STEPS = 4
@@ -34,33 +32,23 @@ class LinearModelState:
 class ARModelState:
     phi: float
     intercept: float
-    window: int = field(default=AR_WINDOW_WEEKS)
 
     def __post_init__(self):
-        if self.window != AR_WINDOW_WEEKS:
-            raise ValueError(f"window is fixed at {AR_WINDOW_WEEKS} weeks")
         if not (np.isfinite(self.phi) and np.isfinite(self.intercept)):
             raise ValueError("parameters must be finite")
 
 
-def lm_fit(covariates: np.ndarray, targets: np.ndarray,
-           n_training_rows: int | None = None) -> LinearModelState:
-    """OLS with intercept on the first n_training_rows rows (default all).
-
-    Rows beyond the training bound are ignored entirely, so the caller
-    can pass a full design and keep the fit leakage-free.
-    """
+def lm_fit(covariates: np.ndarray, targets: np.ndarray) -> LinearModelState:
+    """OLS with intercept on every row of the design."""
     X = np.asarray(covariates, dtype=float)
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValueError("covariates must be (n, d) with matching targets")
-    n = X.shape[0] if n_training_rows is None else int(n_training_rows)
-    if not 1 <= n <= X.shape[0]:
-        raise ValueError("n_training_rows must fall inside the design")
+    n = X.shape[0]
     if n < 5:
         raise ValueError("need at least 5 training rows")
-    design = np.column_stack([np.ones(n), X[:n]])
-    coef, _, rank, _ = np.linalg.lstsq(design, y[:n], rcond=None)
+    design = np.column_stack([np.ones(n), X])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise ValueError("rank-deficient design (collinear covariates)")
     return LinearModelState(intercept=float(coef[0]), coefficients=coef[1:])
@@ -73,17 +61,14 @@ def lm_predict(state: LinearModelState, covariates: np.ndarray) -> float:
     return float(state.intercept + state.coefficients @ x)
 
 
-def ar_fit(series: WeeklySeries, fit_end_week: int) -> ARModelState:
-    """First-order autoregression on the 12-week window ending at fit_end_week.
+def ar_fit(log_values: np.ndarray) -> ARModelState:
+    """First-order autoregression on the last 12 values of a weekly series.
 
-    Regresses y_w on y_{w-1} for consecutive weeks inside the window by
-    OLS with intercept.  Pairs clipped away by the series start are just
-    dropped; fewer than 3 remaining pairs is an error.
+    Regresses y_w on y_{w-1} for consecutive weeks inside that window by
+    OLS with intercept.  A series shorter than the window is used whole;
+    fewer than 3 pairs is an error.
     """
-    if not series.start_week <= fit_end_week <= series.end_week:
-        raise ValueError("fit_end_week outside the series")
-    window_start = max(series.start_week, fit_end_week - (AR_WINDOW_WEEKS - 1))
-    values = series.window(window_start, fit_end_week)
+    values = np.asarray(log_values, dtype=float)[-AR_WINDOW_WEEKS:]
     prev, curr = values[:-1], values[1:]
     if curr.size < 3:
         raise ValueError("need at least 3 consecutive pairs in the window")

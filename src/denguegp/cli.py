@@ -19,9 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .data import DataValidationError, load_dataset
-from .evaluation import (MODELS, CityData, ForecastRow, PipelineOptions,
-                         ProtocolConfig, aggregate_reports, build_design,
-                         query_row, rebuild_design, run_backtest)
+from .evaluation import (MODELS, CityData, ForecastRow, ProtocolConfig,
+                         aggregate_reports, build_design, query_row,
+                         rebuild_design, run_backtest)
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
 from .kernels import KernelHyperparameters
@@ -201,7 +201,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
     optimizer_config = _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed)
     view = city.training_view(city.dir_series.end_week)
-    weeks, X, y, state = build_design(view, PipelineOptions())
+    try:
+        weeks, X, y, state = build_design(view)
+    except ValueError as e:
+        raise DataValidationError(
+            f"cases.csv and climate.csv: city {cfg.city} with station "
+            f"{ds.assignments[cfg.city]} cannot be preprocessed: {e}") from None
     h, lml, diagnostics = optimize(weeks, X, y, optimizer_config)
 
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
@@ -229,9 +234,13 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"no saved model at {model_path}; run the train command first") from None
 
-    h = KernelHyperparameters.from_dict(payload["hyperparameters"])
-    state = TransformState.from_dict(payload["transform"])
-    end = int(payload["training_end_week"])
+    try:
+        h = KernelHyperparameters.from_dict(payload["hyperparameters"])
+        state = TransformState.from_dict(payload["transform"])
+        end = int(payload["training_end_week"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataValidationError(f"invalid saved model: {type(e).__name__} {e}",
+                                  file=model_path) from None
     if end > city.dir_series.end_week:
         raise DataValidationError("saved model was trained past this series end")
     if cfg.horizon < 1:
@@ -259,10 +268,9 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 def _city_worker(task):
     """Run every requested model for one city; exceptions become data."""
-    city, models, protocol, optimizer_config, options = task
+    city, models, protocol, optimizer_config = task
     try:
-        reports = [run_backtest(city, m, protocol,
-                                optimizer_config if m == "gp" else None, options)
+        reports = [run_backtest(city, m, protocol, optimizer_config if m == "gp" else None)
                    for m in models]
         return city.city_id, reports, None
     except Exception as e:  # per-city isolation: one bad city cannot sink the run
@@ -282,9 +290,14 @@ def cmd_backtest(cfg: RunConfig) -> int:
     models = MODELS if cfg.model == "all" else (cfg.model,)
     protocol = _validated(ProtocolConfig, horizon=cfg.horizon, first_target=cfg.first_target,
                           last_target=cfg.last_target, refit_every=cfg.refit_every)
-    options = PipelineOptions()
+    # load_dataset gives every city the same week window
+    for key in ("first_target", "last_target"):
+        week = getattr(cfg, key)
+        if week is not None and week > ds.end_week:
+            raise DataValidationError(
+                f"bad setting value: {key} {week} is past the last data week {ds.end_week}")
     tasks = [(CityData.from_dataset(ds, cid), models, protocol,
-              _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed + idx), options)
+              _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed + idx))
              for idx, cid in enumerate(city_ids)]
 
     if cfg.jobs > 1:

@@ -96,13 +96,6 @@ class WeeklySeries:
             raise IndexError(f"week {week} outside [{self.start_week}, {self.end_week}]")
         return float(self.values[week - self.start_week])
 
-    def window(self, start: int, end: int) -> np.ndarray:
-        """Values for weeks start..end inclusive."""
-        if start < self.start_week or end > self.end_week or start > end:
-            raise IndexError(f"window [{start}, {end}] outside [{self.start_week}, {self.end_week}]")
-        i = start - self.start_week
-        return self.values[i:i + (end - start + 1)]
-
 
 @dataclass(frozen=True, eq=False)
 class StationRecord:

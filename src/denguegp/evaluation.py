@@ -19,8 +19,8 @@ from .baselines import ar_fit, ar_forecast4, lm_fit, lm_predict
 from .data import Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
-from .preprocess import (LAG_MIN, TransformState, center_response,
-                         log_transform, remove_additive_outliers, select_lag,
+from .preprocess import (LAG_MIN, TransformState, log_transform,
+                         remove_additive_outliers, select_lag,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
@@ -61,13 +61,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class PipelineOptions:
-    """Preprocessing switches shared by all models."""
-
-    clean_outliers: bool = True
-
-
-@dataclass(frozen=True)
 class ForecastRow:
     target_week: int
     actual_dir: float | None  # None past the series end (forecast command)
@@ -101,7 +94,9 @@ class TrainingView:
     """Hard copy of everything observable at one forecast origin.
 
     Models receive only this object, never the full city, so a forecast
-    cannot reach data past the origin even by accident.
+    cannot reach data past the origin even by accident.  It is the only
+    leakage boundary: preprocessing and the baselines estimate from all
+    of the arrays they are given.
     """
 
     city_id: str
@@ -162,15 +157,10 @@ class CityData:
         return self.dir_series.value_at(week)
 
 
-def _log_series(view: TrainingView, options: PipelineOptions):
-    """Outlier-cleaned (if enabled) log1p series of the view, plus the
-    flagged weeks."""
-    series = WeeklySeries(view.city_id, view.start_week, view.dir_values)
-    flagged: tuple = ()
-    if options.clean_outliers:
-        series, flagged_weeks = remove_additive_outliers(series)
-        flagged = tuple(flagged_weeks)
-    return log_transform(series), flagged
+def _log_series(view: TrainingView) -> tuple[np.ndarray, tuple]:
+    """Outlier-cleaned log1p series of the view, plus the flagged weeks."""
+    cleaned, flagged = remove_additive_outliers(view.dir_values)
+    return log_transform(cleaned), tuple(view.start_week + i for i in flagged)
 
 
 def _lagged_covariates(view: TrainingView, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -185,24 +175,22 @@ def _lagged_covariates(view: TrainingView, lags) -> tuple[np.ndarray, np.ndarray
     return weeks, lagged
 
 
-def build_design(view: TrainingView, options: PipelineOptions):
-    """Full leakage-free preprocessing of one training view.
+def build_design(view: TrainingView):
+    """Full preprocessing of one training view.
 
-    Returns (weeks, X, y, state): design weeks, standardized lagged
-    covariate rows, centered log response, and the frozen statistics
-    needed to build query rows and undo the centering.
+    Every statistic comes from the view alone, which ends at the forecast
+    origin.  Returns (weeks, X, y, state): design weeks, standardized
+    lagged covariate rows, centered log response, and the frozen
+    statistics needed to build query rows and undo the centering.
     """
-    log_series, flagged = _log_series(view, options)
-    lags = tuple(
-        select_lag(view.covariates[:, d], log_series.values, view.end_week,
-                   start_week=view.start_week)
-        for d in range(3))
+    log_values, flagged = _log_series(view)
+    lags = tuple(select_lag(view.covariates[:, d], log_values) for d in range(3))
 
     weeks, lagged = _lagged_covariates(view, lags)
-    X, means, stds = standardize_covariates(lagged, lagged.shape[0])
+    X, means, stds = standardize_covariates(lagged)
 
-    centered, response_mean = center_response(log_series, view.end_week)
-    y = centered.values[max(lags):]
+    response_mean = float(np.mean(log_values))
+    y = log_values[max(lags):] - response_mean
 
     state = TransformState(
         response_mean=response_mean,
@@ -225,29 +213,28 @@ def query_row(view: TrainingView, state: TransformState, target_week: int) -> np
     return (raw - np.array(state.covariate_means)) / np.array(state.covariate_stds)
 
 
-def rebuild_design(view: TrainingView, state: TransformState,
-                   options: PipelineOptions | None = None):
+def rebuild_design(view: TrainingView, state: TransformState):
     """Reconstruct the design for a previously fitted transform.
 
     Unlike build_design, nothing is re-estimated: the stored lags,
     covariate statistics and response mean are applied as-is, so a saved
     model can be rehydrated against the same data.
     """
-    log_series, _ = _log_series(view, options or PipelineOptions())
+    log_values, _ = _log_series(view)
     weeks, lagged = _lagged_covariates(view, state.lags)
     X = (lagged - np.array(state.covariate_means)) / np.array(state.covariate_stds)
-    y = log_series.values[max(state.lags):] - state.response_mean
+    y = log_values[max(state.lags):] - state.response_mean
     return weeks, X, y
 
 
 def _run_gp(city: CityData, targets: range, protocol: ProtocolConfig,
-            optimizer_config: OptimizerConfig, options: PipelineOptions) -> dict:
+            optimizer_config: OptimizerConfig) -> dict:
     current_h = None
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
         try:
-            weeks, X, y, state = build_design(view, options)
+            weeks, X, y, state = build_design(view)
             x_query = query_row(view, state, t)
         except ValueError:
             out[t] = None
@@ -286,13 +273,12 @@ def _to_natural(log_pred: float):
     return (value, None, None, None)
 
 
-def _run_lm(city: CityData, targets: range, protocol: ProtocolConfig,
-            options: PipelineOptions) -> dict:
+def _run_lm(city: CityData, targets: range, protocol: ProtocolConfig) -> dict:
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
         try:
-            _, X, y, state = build_design(view, options)
+            _, X, y, state = build_design(view)
             model = lm_fit(X, y)
             log_pred = lm_predict(model, query_row(view, state, t)) + state.response_mean
         except ValueError:
@@ -302,25 +288,23 @@ def _run_lm(city: CityData, targets: range, protocol: ProtocolConfig,
     return out
 
 
-def _run_ar(city: CityData, targets: range, protocol: ProtocolConfig,
-            options: PipelineOptions) -> dict:
+def _run_ar(city: CityData, targets: range, protocol: ProtocolConfig) -> dict:
     out = {}
     for t in targets:
         view = city.training_view(t - protocol.horizon)
         try:
-            log_series, _ = _log_series(view, options)
-            state = ar_fit(log_series, view.end_week)
+            log_values, _ = _log_series(view)
+            state = ar_fit(log_values)
         except ValueError:
             out[t] = None
             continue
-        log_pred = ar_forecast4(state, log_series.value_at(view.end_week))
+        log_pred = ar_forecast4(state, log_values[-1])
         out[t] = _to_natural(log_pred)
     return out
 
 
 def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = None,
-                 optimizer_config: OptimizerConfig | None = None,
-                 options: PipelineOptions | None = None) -> BacktestReport:
+                 optimizer_config: OptimizerConfig | None = None) -> BacktestReport:
     """Forecast every target week with the chosen model and score it.
 
     Each target t is predicted from a training view ending at t - horizon
@@ -331,7 +315,6 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
     if model not in MODELS:
         raise ValueError(f"model must be one of {', '.join(MODELS)}")
     protocol = protocol or ProtocolConfig()
-    options = options or PipelineOptions()
 
     series = city.dir_series
     last = protocol.last_target if protocol.last_target is not None else series.end_week
@@ -341,12 +324,11 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
     targets = range(protocol.first_target, last + 1)
 
     if model == "gp":
-        predictions = _run_gp(city, targets, protocol,
-                              optimizer_config or OptimizerConfig(), options)
+        predictions = _run_gp(city, targets, protocol, optimizer_config or OptimizerConfig())
     elif model == "lm":
-        predictions = _run_lm(city, targets, protocol, options)
+        predictions = _run_lm(city, targets, protocol)
     else:
-        predictions = _run_ar(city, targets, protocol, options)
+        predictions = _run_ar(city, targets, protocol)
 
     rows = []
     for t in targets:

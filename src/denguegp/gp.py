@@ -80,19 +80,6 @@ class TrainedGP:
     transform: TransformState | None = None
     jitter: float = 0.0
 
-    @property
-    def n_training(self) -> int:
-        return self.targets.size
-
-    def metadata(self) -> dict:
-        """JSON-ready summary; the factorization is recomputed on load."""
-        return {
-            "hyperparameters": self.hyperparameters.to_dict(),
-            "transform": None if self.transform is None else self.transform.to_dict(),
-            "training_weeks": [int(self.weeks.min()), int(self.weeks.max())],
-            "n_training": int(self.n_training),
-        }
-
 
 @dataclass(frozen=True)
 class PredictiveDistribution:

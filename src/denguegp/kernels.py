@@ -24,7 +24,6 @@ the parameterization the optimizer works in.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -114,13 +113,6 @@ class KernelHyperparameters:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelHyperparameters":
         return cls(**{n: float(d[n]) for n in PARAM_NAMES})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "KernelHyperparameters":
-        return cls.from_dict(json.loads(s))
 
 
 def _check_positive(**params):

@@ -1,14 +1,16 @@
 """Series and covariate preparation ahead of model fitting.
 
-Everything here is leakage-safe by construction: statistics are computed
-from a caller-supplied training prefix only and then applied unchanged to
-later weeks.  The full per-city recipe is
+Every function here takes plain arrays and estimates its statistics
+from all of them.  Leakage is ruled out one level up: the backtest hands
+preprocessing only a training view (``evaluation.TrainingView``) that
+ends at the forecast origin, and the frozen statistics are then applied
+unchanged to query weeks.  The full per-city recipe is
 
     1. additive-outlier cleaning of the incidence series,
     2. log(1 + y) transform,
-    3. centering by the training-window mean,
-    4. per-covariate lag selection (4..26 weeks, training data only),
-    5. covariate standardization with training-window statistics.
+    3. centering by the mean of the log series,
+    4. per-covariate lag selection (4..26 weeks),
+    5. covariate standardization.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .data import WeeklySeries
 
 LAG_MIN = 4
 LAG_MAX = 26
@@ -66,63 +66,42 @@ class TransformState:
         )
 
 
-def log_transform(series: WeeklySeries) -> WeeklySeries:
-    """Map each value to ln(1 + value); inverse is inverse_log_transform."""
-    if np.any(series.values < 0):
+def log_transform(values: np.ndarray) -> np.ndarray:
+    """Map each value to ln(1 + value)."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 0):
         raise ValueError("log transform requires nonnegative values")
-    return WeeklySeries(series.city_id, series.start_week, np.log1p(series.values))
+    return np.log1p(values)
 
 
-def inverse_log_transform(series: WeeklySeries) -> WeeklySeries:
-    return WeeklySeries(series.city_id, series.start_week, np.expm1(series.values))
-
-
-def center_response(series: WeeklySeries, training_end: int) -> tuple[WeeklySeries, float]:
-    """Subtract the mean of weeks [start, training_end]; return the mean.
-
-    Only the training prefix contributes to the mean so that later weeks
-    never leak into the fitted state.
-    """
-    n_train = training_end - series.start_week + 1
-    if n_train < 1 or training_end > series.end_week:
-        raise ValueError("training_end must fall inside the series")
-    mean = float(np.mean(series.values[:n_train]))
-    return WeeklySeries(series.city_id, series.start_week, series.values - mean), mean
-
-
-def standardize_covariates(cov: np.ndarray, n_training_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column (x - mean) / std using the first n_training_rows only.
+def standardize_covariates(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column (x - mean) / std over all rows.
 
     Uses the population (1/N) std convention.  Returns the standardized
-    matrix (all rows) plus the training means and stds.
+    matrix plus the column means and stds.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2:
-        raise ValueError("covariate matrix must be 2-D")
-    if not 1 <= n_training_rows <= cov.shape[0]:
-        raise ValueError("n_training_rows must fall inside the matrix")
-    train = cov[:n_training_rows]
-    means = train.mean(axis=0)
-    stds = train.std(axis=0)
+    if cov.ndim != 2 or cov.shape[0] == 0:
+        raise ValueError("covariate matrix must be 2-D with at least one row")
+    means = cov.mean(axis=0)
+    stds = cov.std(axis=0)
     if np.any(stds == 0):
         bad = int(np.flatnonzero(stds == 0)[0])
         raise ValueError(f"covariate column {bad} is constant over the training window")
     return (cov - means) / stds, means, stds
 
 
-def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
-               start_week: int = 1) -> int:
+def select_lag(covariate: np.ndarray, target: np.ndarray) -> int:
     """Lag in LAG_MIN..LAG_MAX maximizing |corr(lagged covariate, target)|.
 
-    Both arrays are week-aligned from ``start_week``.  Only target weeks
-    up to ``training_end`` enter the correlation; ties break toward the
-    smaller lag.
+    Both arrays are week-aligned and of equal length; ties break toward
+    the smaller lag.
     """
     covariate = np.asarray(covariate, dtype=float)
     target = np.asarray(target, dtype=float)
-    n_train = training_end - start_week + 1
-    if n_train > min(covariate.size, target.size):
-        raise ValueError("training_end must fall inside both series")
+    if covariate.ndim != 1 or covariate.shape != target.shape:
+        raise ValueError("covariate and target must be 1-D with equal length")
+    n_train = target.size
     if n_train <= LAG_MAX + 10:
         raise ValueError(f"training window too short for lags up to {LAG_MAX}")
 
@@ -133,7 +112,7 @@ def select_lag(covariate: np.ndarray, target: np.ndarray, training_end: int,
     width = n_train - LAG_MIN
     sizes = n_train - lags
     mask = np.arange(width) < sizes[:, None]
-    padded = np.concatenate((target[:n_train], np.zeros(LAG_MAX - LAG_MIN)))
+    padded = np.concatenate((target, np.zeros(LAG_MAX - LAG_MIN)))
     t = sliding_window_view(padded[LAG_MIN:], width)
     c = np.where(mask, covariate[:width], 0.0)
     tc = np.where(mask, t - (t.sum(axis=1) / sizes)[:, None], 0.0)
@@ -182,7 +161,7 @@ def _select_ar_order(z: np.ndarray, max_order: int = 4) -> int:
     return best_order
 
 
-def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[int]]:
+def remove_additive_outliers(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Detect and patch single-week anomalies against an AR fit.
 
     Works on the log(1 + y) scale.  Each round fits an AR model (order by
@@ -196,10 +175,10 @@ def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[i
     Patched values are floored at zero on the natural scale.  The first
     ``order`` weeks carry no residual and are never flagged.
 
-    Returns the patched copy and the flagged week indices, in the order
-    they were flagged.
+    Returns the patched copy and the flagged indices, in the order they
+    were flagged.
     """
-    values = series.values
+    values = np.asarray(values, dtype=float)
     if values.size < 20:
         raise ValueError("series too short for outlier screening (need >= 20)")
     if not np.all(np.isfinite(values)):
@@ -207,10 +186,10 @@ def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[i
     if np.any(values < 0):
         raise ValueError("series must be nonnegative")
 
-    z = np.log1p(values.astype(float))
+    z = np.log1p(values)
     flagged: list[int] = []
     if np.ptp(z) == 0:
-        return WeeklySeries(series.city_id, series.start_week, values.copy()), flagged
+        return values.copy(), flagged
 
     for _ in range(_OUTLIER_MAX_ITERATIONS):
         order = _select_ar_order(z)
@@ -240,9 +219,8 @@ def remove_additive_outliers(series: WeeklySeries) -> tuple[WeeklySeries, list[i
             flagged.append(worst)
         z[worst] = fitted[worst - order]
 
-    out = values.astype(float).copy()
+    out = values.copy()
     for idx in flagged:
         # an AR fitted value can fall below log1p(0) = 0; incidence cannot
         out[idx] = max(np.expm1(z[idx]), 0.0)
-    weeks = [series.start_week + idx for idx in flagged]
-    return WeeklySeries(series.city_id, series.start_week, out), weeks
+    return out, flagged

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from denguegp.baselines import (AR_WINDOW_WEEKS, ARModelState,
                                 LinearModelState, ar_fit, ar_forecast4,
                                 lm_fit, lm_predict)
-from denguegp.data import WeeklySeries
 
 # iterating y <- c + phi*y four times from y0, closed form
 # phi=0.5, c=1, y0=2: 0.5^4*2 + 1*(1 + .5 + .25 + .125) = 0.125 + 1.875
@@ -40,22 +39,6 @@ class TestLmFit:
             expected = normal_equations(X, y)
             assert_allclose(state.intercept, expected[0], atol=1e-8)
             assert_allclose(state.coefficients, expected[1:], atol=1e-8)
-
-    def test_training_rows_bound_is_respected(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(40, 3))
-        y = rng.normal(size=40)
-        bounded = lm_fit(X, y, n_training_rows=25)
-        expected = normal_equations(X[:25], y[:25])
-        assert_allclose(bounded.intercept, expected[0], atol=1e-10)
-        assert_allclose(bounded.coefficients, expected[1:], atol=1e-10)
-        # mutating ignored rows changes nothing
-        X2, y2 = X.copy(), y.copy()
-        X2[25:] = 1e9
-        y2[25:] = -1e9
-        again = lm_fit(X2, y2, n_training_rows=25)
-        assert again.intercept == bounded.intercept
-        assert np.array_equal(again.coefficients, bounded.coefficients)
 
     def test_constant_target_lands_on_intercept(self):
         rng = np.random.default_rng(11)
@@ -97,12 +80,12 @@ class TestLmPredict:
             lm_predict(state, np.array([1.0, 2.0, 3.0]))
 
 
-def ar1_path(rng, n, phi, intercept, noise_sd, y0=0.0, start_week=1):
+def ar1_path(rng, n, phi, intercept, noise_sd, y0=0.0):
     y = np.empty(n)
     y[0] = y0
     for t in range(1, n):
         y[t] = intercept + phi * y[t - 1] + rng.normal(scale=noise_sd)
-    return WeeklySeries("c1", start_week, y)
+    return y
 
 
 class TestArFit:
@@ -111,15 +94,15 @@ class TestArFit:
         y[0] = 5.0
         for t in range(1, 30):
             y[t] = 0.8 * y[t - 1]
-        state = ar_fit(WeeklySeries("c1", 1, y), fit_end_week=30)
+        state = ar_fit(y)
         assert_allclose(state.phi, 0.8, atol=1e-10)
         assert_allclose(state.intercept, 0.0, atol=1e-10)
 
     def test_matches_covariance_ratio(self):
         rng = np.random.default_rng(23)
         series = ar1_path(rng, 60, phi=0.5, intercept=1.0, noise_sd=0.4)
-        state = ar_fit(series, fit_end_week=60)
-        window = series.window(60 - (AR_WINDOW_WEEKS - 1), 60)
+        state = ar_fit(series)
+        window = series[-AR_WINDOW_WEEKS:]
         prev, curr = window[:-1], window[1:]
         phi = (np.mean(prev * curr) - prev.mean() * curr.mean()) / np.var(prev)
         assert_allclose(state.phi, phi, atol=1e-10)
@@ -128,41 +111,29 @@ class TestArFit:
     def test_only_the_window_matters(self):
         rng = np.random.default_rng(29)
         series = ar1_path(rng, 80, phi=0.6, intercept=0.5, noise_sd=0.3)
-        state = ar_fit(series, fit_end_week=70)
-        tampered = series.values.copy()
-        tampered[:70 - AR_WINDOW_WEEKS] = 1e6  # weeks before the window
-        tampered[70:] = -1e6  # weeks after fit_end_week
-        state2 = ar_fit(WeeklySeries("c1", 1, tampered), fit_end_week=70)
+        state = ar_fit(series)
+        tampered = series.copy()
+        tampered[:-AR_WINDOW_WEEKS] = 1e6  # weeks before the window
+        state2 = ar_fit(tampered)
         assert state2.phi == state.phi
         assert state2.intercept == state.intercept
 
     def test_short_history_clips_window(self):
         rng = np.random.default_rng(31)
-        series = ar1_path(rng, 6, phi=0.5, intercept=0.2, noise_sd=0.3, start_week=1)
-        state = ar_fit(series, fit_end_week=6)  # only 6 weeks, 5 pairs
-        prev, curr = series.values[:-1], series.values[1:]
+        series = ar1_path(rng, 6, phi=0.5, intercept=0.2, noise_sd=0.3)
+        state = ar_fit(series)  # only 6 weeks, 5 pairs
+        prev, curr = series[:-1], series[1:]
         expected = normal_equations(prev[:, None], curr)
         assert_allclose(state.intercept, expected[0], atol=1e-10)
         assert_allclose(state.phi, expected[1], atol=1e-10)
 
     def test_constant_window_rejected(self):
-        series = WeeklySeries("c1", 1, np.full(20, 3.0))
         with pytest.raises(ValueError, match="constant window"):
-            ar_fit(series, fit_end_week=20)
+            ar_fit(np.full(20, 3.0))
 
     def test_too_few_pairs_rejected(self):
-        series = WeeklySeries("c1", 1, np.array([1.0, 2.0, 1.5]))
         with pytest.raises(ValueError, match="at least 3"):
-            ar_fit(series, fit_end_week=3)
-
-    def test_fit_end_outside_series(self):
-        series = WeeklySeries("c1", 1, np.arange(20.0))
-        with pytest.raises(ValueError):
-            ar_fit(series, fit_end_week=25)
-
-    def test_window_size_is_fixed(self):
-        with pytest.raises(ValueError, match="fixed at 12"):
-            ARModelState(phi=0.5, intercept=0.0, window=10)
+            ar_fit(np.array([1.0, 2.0, 1.5]))
 
 
 class TestArForecast4:

@@ -41,6 +41,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def copy_bundle(src, dst):
+    """Copy the five input CSVs of a fixture into a new directory."""
+    dst.mkdir()
+    for name in ("cases", "population", "climate", "stations", "cities"):
+        shutil.copy(os.path.join(src, f"{name}.csv"), dst)
+    return dst
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     """Two seasonal synthetic cities, 150 weeks."""
@@ -150,11 +158,7 @@ class TestIngest:
         assert "C001" in capsys.readouterr().out
 
     def test_broken_csv_exits_2_with_location(self, sim_dir, tmp_path, capsys):
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        for name in ("cases", "population", "climate", "stations", "cities"):
-            (broken / f"{name}.csv").write_bytes(
-                read_bytes(os.path.join(sim_dir, f"{name}.csv")))
+        broken = copy_bundle(sim_dir, tmp_path / "broken")
         lines = (broken / "cases.csv").read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + ",-5"
         (broken / "cases.csv").write_text("\n".join(lines) + "\n")
@@ -231,7 +235,7 @@ class TestBacktestCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "0"), ("--horizon", "8"), ("--restarts", "0"),
         ("--refit-every", "0"), ("--first-target", "3"), ("--jobs", "0"),
-        ("--jobs", "-2")])
+        ("--jobs", "-2"), ("--first-target", "400"), ("--last-target", "300")])
     def test_invalid_setting_exits_2(self, sim_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(out),
@@ -348,6 +352,30 @@ class TestTrainForecast:
         assert main(["train", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "x"),
                      "--city", "C001", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err
+
+    def test_constant_climate_column_exits_2(self, sim_dir, tmp_path, capsys):
+        data = copy_bundle(sim_dir, tmp_path / "flat")
+        rows = read_csv(data / "climate.csv")
+        with open(data / "climate.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([rows[0]] + [r[:4] + ["70"] for r in rows[1:]])
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "x"),
+                     "--city", "C001", "--restarts", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "climate.csv" in err and "zero-variance" in err
+
+    @pytest.mark.parametrize("lags", [[2, 5, 6], None])
+    def test_invalid_saved_model_exits_2(self, sim_dir, trained_dir, tmp_path, capsys,
+                                         lags):
+        payload = read_json(os.path.join(trained_dir, "model_C001.json"))
+        if lags is None:
+            del payload["transform"]["lags"]
+        else:
+            payload["transform"]["lags"] = lags
+        (tmp_path / "model_C001.json").write_text(json.dumps(payload))
+        assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(tmp_path),
+                     "--city", "C001"]) == 2
+        assert "model_C001.json" in capsys.readouterr().err
+        assert not (tmp_path / "prediction_C001.csv").exists()
 
     def test_unknown_city_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["train", "--data-dir", sim_dir,

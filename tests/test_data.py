@@ -67,14 +67,13 @@ class TestWeeklySeries:
         assert s.end_week == 7
         assert s.n_weeks == 3
         assert s.value_at(6) == 2.0
-        assert_allclose(s.window(5, 6), [1.0, 2.0])
 
     def test_out_of_range(self):
         s = WeeklySeries("c1", 5, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(IndexError):
             s.value_at(4)
         with pytest.raises(IndexError):
-            s.window(5, 8)
+            s.value_at(8)
 
     def test_equality_is_by_value(self):
         a = WeeklySeries("c1", 1, np.array([1.0, 2.0]))

@@ -9,19 +9,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import denguegp.evaluation as evaluation
 from denguegp.data import WeeklySeries
 from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
-                                 BacktestReport, CityData, ForecastRow,
-                                 PipelineOptions, ProtocolConfig, band_auc,
-                                 aggregate_reports, build_design, pearson,
-                                 query_row, rebuild_design, run_backtest)
+                                 MODELS, BacktestReport, CityData, ForecastRow,
+                                 ProtocolConfig, band_auc, aggregate_reports,
+                                 build_design, pearson, query_row,
+                                 rebuild_design, run_backtest)
 from denguegp.gp import ModelFitError
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.kernels import KernelHyperparameters
-from denguegp.preprocess import LAG_MIN
+from denguegp.preprocess import LAG_MIN, remove_additive_outliers
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
 
@@ -212,7 +215,7 @@ class TestBuildDesign:
     def test_design_shape_and_standardization(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=8))
         view = city.training_view(150)
-        weeks, X, y, state = build_design(view, PipelineOptions())
+        weeks, X, y, state = build_design(view)
         max_lag = max(state.lags)
         assert weeks[0] == 1 + max_lag
         assert weeks[-1] == 150
@@ -225,7 +228,7 @@ class TestBuildDesign:
     def test_query_row_reconstruction(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=9))
         view = city.training_view(150)
-        _, _, _, state = build_design(view, PipelineOptions())
+        _, _, _, state = build_design(view)
         row = query_row(view, state, 154)
         for d in range(3):
             raw = city.covariates[154 - state.lags[d] - 1, d]
@@ -235,9 +238,8 @@ class TestBuildDesign:
     def test_rebuild_matches_build_bit_for_bit(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=10))
         view = city.training_view(150)
-        options = PipelineOptions()
-        weeks, X, y, state = build_design(view, options)
-        weeks2, X2, y2 = rebuild_design(view, state, options)
+        weeks, X, y, state = build_design(view)
+        weeks2, X2, y2 = rebuild_design(view, state)
         assert np.array_equal(weeks, weeks2)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
@@ -245,9 +247,13 @@ class TestBuildDesign:
     def test_centering_uses_cleaned_log_series(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=11))
         view = city.training_view(150)
-        _, _, y, state = build_design(
-            view, PipelineOptions(clean_outliers=False))
-        log_values = np.log1p(view.dir_values)
+        view.dir_values[70] = 50.0 * view.dir_values.max()  # a spike to patch
+        view = dataclasses.replace(view, start_week=41)
+        _, _, y, state = build_design(view)
+        cleaned, flagged = remove_additive_outliers(view.dir_values)
+        assert 70 in flagged
+        assert state.flagged_weeks == tuple(41 + i for i in flagged)
+        log_values = np.log1p(cleaned)
         assert_allclose(state.response_mean, log_values.mean(), rtol=1e-12)
         assert_allclose(y, (log_values - log_values.mean())[max(state.lags):],
                         atol=1e-12)
@@ -305,20 +311,35 @@ class TestBacktestProtocol:
         assert report.n_failed == 0  # later refits fail but the old h still works
 
     def test_mutating_embargoed_weeks_cannot_move_the_forecast(self):
-        spec = SynthSpec(weeks=110, seed=15)
-        city = synthetic_city(spec)
+        # the forecast for week 105 may use weeks 1..101 only, so whatever
+        # weeks 102..110 hold, no model may move any predicted number
+        city = synthetic_city(SynthSpec(weeks=110, seed=15))
         protocol = ProtocolConfig(first_target=105, last_target=105)
+        optimizer_config = OptimizerConfig(restarts=1, seed=0)
+        n_seen = protocol.first_target - protocol.horizon
+        n_hidden = city.dir_series.n_weeks - n_seen
 
-        tampered_dir = city.dir_series.values.copy()
-        tampered_cov = city.covariates.copy()
-        tampered_dir[101:] *= 3.0  # weeks 102..110: inside the embargo
-        tampered_cov[101:] += 40.0
-        tampered = make_city(tampered_dir, tampered_cov)
+        def forecasts(c):
+            rows = {m: run_backtest(c, m, protocol,
+                                    optimizer_config if m == "gp" else None).rows[0]
+                    for m in MODELS}
+            return {m: (r.predicted_dir, r.sd, r.lower95, r.upper95) for m, r in rows.items()}
 
-        for model in ("ar", "lm"):
-            base = run_backtest(city, model, protocol=protocol)
-            moved = run_backtest(tampered, model, protocol=protocol)
-            assert moved.rows[0].predicted_dir == base.rows[0].predicted_dir
+        base = forecasts(city)
+        assert all(f[0] is not None for f in base.values())
+
+        finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(dir_tail=arrays(float, n_hidden, elements=finite),
+               cov_tail=arrays(float, (n_hidden, 3), elements=finite))
+        def check(dir_tail, cov_tail):
+            tampered = make_city(
+                np.concatenate([city.dir_series.values[:n_seen], dir_tail]),
+                np.concatenate([city.covariates[:n_seen], cov_tail]))
+            assert forecasts(tampered) == base
+
+        check()
 
     def test_ar_gap_is_recorded_not_fatal(self):
         city = synthetic_city(SynthSpec(weeks=110, seed=16))
@@ -326,8 +347,7 @@ class TestBacktestProtocol:
         values[89:101] = 0.0  # constant 12-week window for target 105
         flat = make_city(values, city.covariates)
         report = run_backtest(flat, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=106),
-                              options=PipelineOptions(clean_outliers=False))
+                              protocol=ProtocolConfig(first_target=105, last_target=106))
         assert report.rows[0].predicted_dir is None
         assert report.n_failed >= 1
         assert len(report.rows) == 2
@@ -348,18 +368,16 @@ class TestBacktestProtocol:
         assert gaps == [r.target_week for r in lm.rows if r.predicted_dir is None]
 
     def test_ar_overflow_becomes_gap(self):
-        # 12-week window [0]*10 + [10, 300] on the log scale fits a slope
-        # near 30; four steps from 300 overflows expm1 and must be a gap,
-        # never an inf forecast that poisons the metrics.
-        city = synthetic_city(SynthSpec(weeks=110, seed=16))
-        values = city.dir_series.values.copy()
-        values[89:101] = 0.0
-        values[99] = np.expm1(10.0)
-        values[100] = np.expm1(300.0)
-        explosive = make_city(values, city.covariates)
+        # 12-week window [0]*10 + [1, 10] on the log scale fits a slope
+        # of 9.9; four steps from 10 overflow expm1 and must be a gap,
+        # never an inf forecast that poisons the metrics.  Log values
+        # drawn uniformly on [0, 10] leave the outlier screen a residual
+        # scale too wide to flag any week of that window.
+        z = np.random.default_rng(0).uniform(0.0, 10.0, size=110)
+        z[89:101] = [0.0] * 10 + [1.0, 10.0]
+        explosive = make_city(np.expm1(z))
         report = run_backtest(explosive, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=106),
-                              options=PipelineOptions(clean_outliers=False))
+                              protocol=ProtocolConfig(first_target=105, last_target=106))
         assert report.rows[0].predicted_dir is None
         assert report.n_failed >= 1
         for row in report.rows:

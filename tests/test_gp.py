@@ -1,8 +1,6 @@
 """Exact GP regression: fitting, prediction, marginal likelihood and its
 gradient, each checked against brute-force dense linear algebra."""
 
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,16 +103,6 @@ class TestFit:
                 fit([1, 2], X, [0.0, 1.0], h)
         with pytest.raises(ValueError, match="finite"):
             fit([1, 2], np.zeros((2, 3)), [0.0, np.nan], h)
-
-    def test_metadata_is_json_ready(self):
-        rng = np.random.default_rng(43)
-        weeks, X, y, h = random_instance(rng, 6)
-        state = TransformState(0.4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 8, 12))
-        model = fit(weeks, X, y, h, transform=state)
-        meta = json.loads(json.dumps(model.metadata()))
-        assert meta["n_training"] == 6
-        assert meta["transform"]["lags"] == [4, 8, 12]
-        assert set(meta["hyperparameters"]) == set(PARAM_NAMES)
 
 
 class TestPredict:
