@@ -16,16 +16,15 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import DataValidationError, load_dataset
-from .evaluation import (MODELS, CityData, ForecastRow, ProtocolConfig,
-                         aggregate_reports, build_design, query_row,
-                         rebuild_design, run_backtest)
+from .evaluation import (MIN_VIEW_WEEKS, MODELS, CityData, ForecastRow,
+                         ProtocolConfig, aggregate_reports, build_design,
+                         query_row, run_backtest)
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
 from .kernels import KernelHyperparameters
-from .preprocess import TransformState
 
 ENV_PREFIX = "DENGUEGP_"
 
@@ -38,11 +37,11 @@ _DEFAULTS = {
     "model": "gp",
     "seed": 0,
     "jobs": 1,
-    "horizon": 4,
-    "first_target": 105,
-    "last_target": None,
-    "refit_every": 52,
-    "restarts": 5,
+    "horizon": ProtocolConfig.horizon,
+    "first_target": ProtocolConfig.first_target,
+    "last_target": ProtocolConfig.last_target,
+    "refit_every": ProtocolConfig.refit_every,
+    "restarts": OptimizerConfig.restarts,
     "min_population": 0,
     "city": None,
     "n_cities": 3,
@@ -50,8 +49,7 @@ _DEFAULTS = {
     "variation": "default",
 }
 
-_INT_KEYS = ("seed", "jobs", "horizon", "first_target", "refit_every",
-             "restarts", "min_population", "n_cities", "weeks")
+_INT_KEYS = tuple(k for k, v in _DEFAULTS.items() if isinstance(v, int))
 
 _MODEL_CHOICES = MODELS + ("all",)
 _VARIATION_CHOICES = ("default", "low", "periodic", "mixed")
@@ -176,6 +174,16 @@ def _trained_city(cfg: RunConfig, ds) -> CityData:
     return CityData.from_dataset(ds, cfg.city)
 
 
+def _design(cfg: RunConfig, ds, view):
+    """build_design for the --city view; a failure is an input error (exit 2)."""
+    try:
+        return build_design(view)
+    except ValueError as e:
+        raise DataValidationError(
+            f"cases.csv and climate.csv: city {cfg.city} with station "
+            f"{ds.assignments[cfg.city]} cannot be preprocessed: {e}") from None
+
+
 def _validated(config_class, **settings):
     """Build a settings object; a rejected value is an input error (exit 2)."""
     try:
@@ -201,12 +209,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     optimizer_config = _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed)
     view = city.training_view(city.dir_series.end_week)
-    try:
-        weeks, X, y, state = build_design(view)
-    except ValueError as e:
-        raise DataValidationError(
-            f"cases.csv and climate.csv: city {cfg.city} with station "
-            f"{ds.assignments[cfg.city]} cannot be preprocessed: {e}") from None
+    weeks, X, y, state = _design(cfg, ds, view)
     h, lml, diagnostics = optimize(weeks, X, y, optimizer_config)
 
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
@@ -236,21 +239,29 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
     try:
         h = KernelHyperparameters.from_dict(payload["hyperparameters"])
-        state = TransformState.from_dict(payload["transform"])
+        saved_transform = payload["transform"]
         end = int(payload["training_end_week"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataValidationError(f"invalid saved model: {type(e).__name__} {e}",
                                   file=model_path) from None
-    if end > city.dir_series.end_week:
-        raise DataValidationError("saved model was trained past this series end")
+    if not city.dir_series.start_week <= end <= city.dir_series.end_week:
+        raise DataValidationError(f"training end week {end} is outside this series",
+                                  file=model_path)
     if cfg.horizon < 1:
         raise DataValidationError(f"bad setting value: horizon must be >= 1, got {cfg.horizon}")
+
+    # the transform is re-derived from the data, so a saved one that
+    # differs means the data through the training end changed
+    view = city.training_view(end)
+    weeks, X, y, state = _design(cfg, ds, view)
+    if state.to_dict() != saved_transform:
+        raise DataValidationError(
+            f"saved transform does not match the data through week {end}; "
+            "train again on this data", file=model_path)
     if cfg.horizon > min(state.lags):
         raise DataValidationError(
             f"horizon {cfg.horizon} exceeds the shortest covariate lag {min(state.lags)}")
 
-    view = city.training_view(end)
-    weeks, X, y = rebuild_design(view, state)
     model = fit(weeks, X, y, h, transform=state)
 
     rows = []
@@ -290,6 +301,12 @@ def cmd_backtest(cfg: RunConfig) -> int:
     models = MODELS if cfg.model == "all" else (cfg.model,)
     protocol = _validated(ProtocolConfig, horizon=cfg.horizon, first_target=cfg.first_target,
                           last_target=cfg.last_target, refit_every=cfg.refit_every)
+    need = max(MIN_VIEW_WEEKS[m] for m in models)
+    if cfg.first_target - cfg.horizon < need:
+        raise DataValidationError(
+            f"bad setting value: first_target {cfg.first_target} leaves a "
+            f"{cfg.first_target - cfg.horizon}-week training view, and --model "
+            f"{cfg.model} needs at least {need} weeks")
     # load_dataset gives every city the same week window
     for key in ("first_target", "last_target"):
         week = getattr(cfg, key)
@@ -339,17 +356,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # imported here so the fast commands never pay for it
     from . import synth
 
-    variations = {
-        "default": (synth.SynthSpec(weeks=cfg.weeks),),
+    presets = {
+        "default": (synth.SynthSpec(),),
         "low": (synth.low_incidence_spec(),),
         "periodic": (synth.strongly_periodic_spec(),),
-        "mixed": (synth.SynthSpec(weeks=cfg.weeks),
-                  synth.strongly_periodic_spec(),
+        "mixed": (synth.SynthSpec(), synth.strongly_periodic_spec(),
                   synth.low_incidence_spec()),
     }[cfg.variation]
-    if cfg.weeks != 209:
-        import dataclasses
-        variations = tuple(dataclasses.replace(v, weeks=cfg.weeks) for v in variations)
+    variations = tuple(replace(v, weeks=cfg.weeks) for v in presets)
 
     ds = synth.make_multi_city_fixture(cfg.out_dir, cfg.n_cities,
                                        variations=variations, seed=cfg.seed)

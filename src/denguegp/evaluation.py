@@ -4,8 +4,8 @@ A forecast for week t may use observations through week t - 4 and
 nothing newer.  The harness enforces that with hard-copied training
 views: every model (the GP and both baselines) sees only a view ending
 at the origin, the full preprocessing chain is recomputed inside each
-view, and actual values for the target weeks are read separately for
-scoring after all predictions exist.
+view, and the actual value of a target week is read from the city only
+to score its row.
 """
 
 from __future__ import annotations
@@ -16,21 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import ar_fit, ar_forecast4, lm_fit, lm_predict
-from .data import Dataset, WeeklySeries, compute_dir
+from .data import CLIMATE_COLUMNS, Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
-from .preprocess import (LAG_MIN, TransformState, log_transform,
+from .preprocess import (LAG_MIN, MIN_LAG_WEEKS, MIN_SCREEN_WEEKS,
+                         TransformState, log_transform,
                          remove_additive_outliers, select_lag,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
 
+# shortest training view each model forecasts from: the GP and the
+# linear model need lag selection, the AR baseline only the outlier screen
+MIN_VIEW_WEEKS = {"gp": MIN_LAG_WEEKS, "lm": MIN_LAG_WEEKS, "ar": MIN_SCREEN_WEEKS}
+
 # weekly incidence bands: medium starts at 25 per 100k, high at 75
 MEDIUM_DIR_THRESHOLD = 25.0
 HIGH_DIR_THRESHOLD = 75.0
-
-DEFAULT_HORIZON = 4
-DEFAULT_FIRST_TARGET = 105
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class ProtocolConfig:
     refit_every=1 re-optimizes at every origin.
     """
 
-    horizon: int = DEFAULT_HORIZON
-    first_target: int = DEFAULT_FIRST_TARGET
+    horizon: int = 4
+    first_target: int = 105
     last_target: int | None = None
     refit_every: int = 52
 
@@ -163,40 +165,37 @@ def _log_series(view: TrainingView) -> tuple[np.ndarray, tuple]:
     return log_transform(cleaned), tuple(view.start_week + i for i in flagged)
 
 
-def _lagged_covariates(view: TrainingView, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Design weeks (from start + max lag to the view end) and the raw
-    covariate rows shifted by each column's lag."""
-    design_start = view.start_week + max(lags)
-    weeks = np.arange(design_start, view.end_week + 1)
-    lagged = np.column_stack([
-        view.covariates[design_start - lag - view.start_week:
-                        view.end_week - lag - view.start_week + 1, d]
-        for d, lag in enumerate(lags)])
-    return weeks, lagged
-
-
 def build_design(view: TrainingView):
     """Full preprocessing of one training view.
 
     Every statistic comes from the view alone, which ends at the forecast
-    origin.  Returns (weeks, X, y, state): design weeks, standardized
-    lagged covariate rows, centered log response, and the frozen
-    statistics needed to build query rows and undo the centering.
+    origin.  Returns (weeks, X, y, state): design weeks (from start + max
+    lag to the view end), standardized lagged covariate rows, centered
+    log response, and the frozen statistics needed to build query rows
+    and undo the centering.
     """
     log_values, flagged = _log_series(view)
-    lags = tuple(select_lag(view.covariates[:, d], log_values) for d in range(3))
+    lags = []
+    for d, name in enumerate(CLIMATE_COLUMNS):
+        try:
+            lags.append(select_lag(view.covariates[:, d], log_values))
+        except ValueError as e:
+            raise ValueError(f"lag selection for {name}: {e}") from None
 
-    weeks, lagged = _lagged_covariates(view, lags)
+    offset, n_view = max(lags), view.dir_values.size
+    weeks = np.arange(view.start_week + offset, view.end_week + 1)
+    lagged = np.column_stack([view.covariates[offset - lag:n_view - lag, d]
+                              for d, lag in enumerate(lags)])
     X, means, stds = standardize_covariates(lagged)
 
     response_mean = float(np.mean(log_values))
-    y = log_values[max(lags):] - response_mean
+    y = log_values[offset:] - response_mean
 
     state = TransformState(
         response_mean=response_mean,
         covariate_means=tuple(means),
         covariate_stds=tuple(stds),
-        lags=lags,
+        lags=tuple(lags),
         flagged_weeks=flagged,
     )
     return weeks, X, y, state
@@ -213,94 +212,18 @@ def query_row(view: TrainingView, state: TransformState, target_week: int) -> np
     return (raw - np.array(state.covariate_means)) / np.array(state.covariate_stds)
 
 
-def rebuild_design(view: TrainingView, state: TransformState):
-    """Reconstruct the design for a previously fitted transform.
-
-    Unlike build_design, nothing is re-estimated: the stored lags,
-    covariate statistics and response mean are applied as-is, so a saved
-    model can be rehydrated against the same data.
-    """
-    log_values, _ = _log_series(view)
-    weeks, lagged = _lagged_covariates(view, state.lags)
-    X = (lagged - np.array(state.covariate_means)) / np.array(state.covariate_stds)
-    y = log_values[max(state.lags):] - state.response_mean
-    return weeks, X, y
-
-
-def _run_gp(city: CityData, targets: range, protocol: ProtocolConfig,
-            optimizer_config: OptimizerConfig) -> dict:
-    current_h = None
-    out = {}
-    for t in targets:
-        view = city.training_view(t - protocol.horizon)
-        try:
-            weeks, X, y, state = build_design(view)
-            x_query = query_row(view, state, t)
-        except ValueError:
-            out[t] = None
-            continue
-
-        scheduled = (t - protocol.first_target) % protocol.refit_every == 0
-        if scheduled or current_h is None:
-            try:
-                current_h, _, _ = optimize(weeks, X, y, optimizer_config)
-            except ModelFitError:
-                pass  # keep the previous hyperparameters, retry next week
-        if current_h is None:
-            out[t] = None
-            continue
-        try:
-            model = fit(weeks, X, y, current_h, transform=state)
-            dist = predict(model, t, x_query)
-        except ModelFitError:
-            out[t] = None
-            continue
-        out[t] = (dist.natural_mean, dist.sd, dist.natural_lower, dist.natural_upper)
-    return out
-
-
-def _to_natural(log_pred: float):
-    """Baseline back-transform; an overflowing forecast becomes a gap.
+def _to_natural(log_pred: float) -> float:
+    """Baseline back-transform; an overflowing forecast is a failed week.
 
     An explosive AR window (slope above 1) can push the 4-step log
-    prediction past the float range, and a forecast of inf is a failed
-    week, not a number to score.
+    prediction past the float range, and a forecast of inf is not a
+    number to score.
     """
     with np.errstate(over="ignore"):
         value = float(np.expm1(log_pred))
     if not np.isfinite(value):
-        return None
-    return (value, None, None, None)
-
-
-def _run_lm(city: CityData, targets: range, protocol: ProtocolConfig) -> dict:
-    out = {}
-    for t in targets:
-        view = city.training_view(t - protocol.horizon)
-        try:
-            _, X, y, state = build_design(view)
-            model = lm_fit(X, y)
-            log_pred = lm_predict(model, query_row(view, state, t)) + state.response_mean
-        except ValueError:
-            out[t] = None
-            continue
-        out[t] = _to_natural(log_pred)
-    return out
-
-
-def _run_ar(city: CityData, targets: range, protocol: ProtocolConfig) -> dict:
-    out = {}
-    for t in targets:
-        view = city.training_view(t - protocol.horizon)
-        try:
-            log_values, _ = _log_series(view)
-            state = ar_fit(log_values)
-        except ValueError:
-            out[t] = None
-            continue
-        log_pred = ar_forecast4(state, log_values[-1])
-        out[t] = _to_natural(log_pred)
-    return out
+        raise ValueError("forecast overflows the float range")
+    return value
 
 
 def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = None,
@@ -308,66 +231,77 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
     """Forecast every target week with the chosen model and score it.
 
     Each target t is predicted from a training view ending at t - horizon
-    with preprocessing recomputed inside the view.  A fit failure at one
-    origin leaves a gap in that week's row (and the failure count)
-    instead of aborting the city; metrics use the available rows.
+    with preprocessing recomputed inside the view.  A ValueError or
+    ModelFitError at one origin leaves a gap in that week's row (and the
+    failure count) instead of aborting the city; metrics use the
+    available rows.  The GP re-optimizes its hyperparameters at every
+    refit_every-th target and whenever it has none yet; a failed refit
+    keeps the previous hyperparameters, and an origin with none is a gap.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {', '.join(MODELS)}")
     protocol = protocol or ProtocolConfig()
+    optimizer_config = optimizer_config or OptimizerConfig()
 
     series = city.dir_series
     last = protocol.last_target if protocol.last_target is not None else series.end_week
     if series.start_week > 1 or series.end_week < last:
         raise ValueError(
             f"series must cover weeks 1..{last}, has {series.start_week}..{series.end_week}")
-    targets = range(protocol.first_target, last + 1)
 
-    if model == "gp":
-        predictions = _run_gp(city, targets, protocol, optimizer_config or OptimizerConfig())
-    elif model == "lm":
-        predictions = _run_lm(city, targets, protocol)
-    else:
-        predictions = _run_ar(city, targets, protocol)
-
+    h = None
     rows = []
-    for t in targets:
-        actual = city.actual_dir(t)
-        p = predictions[t]
-        if p is None:
-            rows.append(ForecastRow(t, actual, None, None, None, None))
-        else:
-            rows.append(ForecastRow(t, actual, p[0], p[1], p[2], p[3]))
-
-    scored = [(r.actual_dir, r.predicted_dir) for r in rows if r.predicted_dir is not None]
-    if scored:
-        actuals = np.array([s[0] for s in scored])
-        preds = np.array([s[1] for s in scored])
+    for t in range(protocol.first_target, last + 1):
+        view = city.training_view(t - protocol.horizon)
+        forecast = (None, None, None, None)
         try:
-            corr = pearson(actuals, preds)
-        except ValueError:
-            corr = None
-        auc_medium = band_auc(actuals, preds, MEDIUM_DIR_THRESHOLD)
-        auc_high = band_auc(actuals, preds, HIGH_DIR_THRESHOLD)
-    else:
-        corr, auc_medium, auc_high = None, None, None
+            if model == "ar":
+                log_values, _ = _log_series(view)
+                log_pred = ar_forecast4(ar_fit(log_values), log_values[-1])
+                forecast = (_to_natural(log_pred), None, None, None)
+            else:
+                weeks, X, y, state = build_design(view)
+                x_query = query_row(view, state, t)
+                if model == "lm":
+                    log_pred = lm_predict(lm_fit(X, y), x_query) + state.response_mean
+                    forecast = (_to_natural(log_pred), None, None, None)
+                else:
+                    if h is None or (t - protocol.first_target) % protocol.refit_every == 0:
+                        try:
+                            h, _, _ = optimize(weeks, X, y, optimizer_config)
+                        except ModelFitError:
+                            pass  # keep the previous hyperparameters, retry next week
+                    if h is not None:
+                        dist = predict(fit(weeks, X, y, h, transform=state), t, x_query)
+                        forecast = (dist.natural_mean, dist.sd,
+                                    dist.natural_lower, dist.natural_upper)
+        except (ValueError, ModelFitError):
+            pass
+        rows.append(ForecastRow(t, city.actual_dir(t), *forecast))
+
+    # with no scored rows pearson raises and band_auc gives None
+    scored = [r for r in rows if r.predicted_dir is not None]
+    actuals = np.array([r.actual_dir for r in scored])
+    preds = np.array([r.predicted_dir for r in scored])
+    try:
+        corr = pearson(actuals, preds)
+    except ValueError:
+        corr = None
 
     all_actuals = np.array([r.actual_dir for r in rows])
-    eligible = []
-    if np.any(all_actuals >= MEDIUM_DIR_THRESHOLD) and np.any(all_actuals < MEDIUM_DIR_THRESHOLD):
-        eligible.append("medium")
-    if np.any(all_actuals >= HIGH_DIR_THRESHOLD) and np.any(all_actuals < HIGH_DIR_THRESHOLD):
-        eligible.append("high")
+    eligible = [band for band, threshold in (("medium", MEDIUM_DIR_THRESHOLD),
+                                             ("high", HIGH_DIR_THRESHOLD))
+                if np.any(all_actuals >= threshold) and np.any(all_actuals < threshold)]
 
     return BacktestReport(
         city_id=city.city_id,
         model=model,
         rows=tuple(rows),
         pearson=corr,
-        auc_medium=auc_medium,
-        auc_high=auc_high,
+        auc_medium=band_auc(actuals, preds, MEDIUM_DIR_THRESHOLD),
+        auc_high=band_auc(actuals, preds, HIGH_DIR_THRESHOLD),
         band_eligibility="+".join(eligible) if eligible else "none",
-        n_failed=sum(1 for r in rows if r.predicted_dir is None),
+        n_failed=len(rows) - len(scored),
     )
 
 

@@ -23,6 +23,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 LAG_MIN = 4
 LAG_MAX = 26
 
+# shortest series each step accepts: lag selection keeps at least 11
+# weeks of overlap at the longest lag
+MIN_LAG_WEEKS = LAG_MAX + 11
+MIN_SCREEN_WEEKS = 20
+
 _MAD_TO_SD = 1.4826
 
 _OUTLIER_CRITICAL_VALUE = 3.5
@@ -31,7 +36,7 @@ _OUTLIER_MAX_ITERATIONS = 10
 
 @dataclass(frozen=True)
 class TransformState:
-    """Frozen training-window statistics needed to rebuild model inputs
+    """Frozen training-window statistics needed to build query rows
     and map predictions back to the incidence scale."""
 
     response_mean: float
@@ -54,16 +59,6 @@ class TransformState:
             "lags": list(self.lags),
             "flagged_weeks": list(self.flagged_weeks),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformState":
-        return cls(
-            response_mean=float(d["response_mean"]),
-            covariate_means=tuple(float(v) for v in d["covariate_means"]),
-            covariate_stds=tuple(float(v) for v in d["covariate_stds"]),
-            lags=tuple(int(v) for v in d["lags"]),
-            flagged_weeks=tuple(int(v) for v in d.get("flagged_weeks", ())),
-        )
 
 
 def log_transform(values: np.ndarray) -> np.ndarray:
@@ -102,8 +97,9 @@ def select_lag(covariate: np.ndarray, target: np.ndarray) -> int:
     if covariate.ndim != 1 or covariate.shape != target.shape:
         raise ValueError("covariate and target must be 1-D with equal length")
     n_train = target.size
-    if n_train <= LAG_MAX + 10:
-        raise ValueError(f"training window too short for lags up to {LAG_MAX}")
+    if n_train < MIN_LAG_WEEKS:
+        raise ValueError(f"training window too short for lags up to {LAG_MAX} "
+                         f"(need >= {MIN_LAG_WEEKS} weeks)")
 
     # row i pairs target weeks lag..n_train-1 with covariate weeks
     # 0..n_train-1-lag for lag = LAG_MIN + i; entries past each row's
@@ -117,10 +113,11 @@ def select_lag(covariate: np.ndarray, target: np.ndarray) -> int:
     c = np.where(mask, covariate[:width], 0.0)
     tc = np.where(mask, t - (t.sum(axis=1) / sizes)[:, None], 0.0)
     cc = np.where(mask, c - (c.sum(axis=1) / sizes)[:, None], 0.0)
-    denom = np.sqrt(np.sum(cc * cc, axis=1) * np.sum(tc * tc, axis=1))
-    if np.any(denom == 0):
-        raise ValueError("zero-variance overlap in lag correlation")
-    r = np.abs(np.sum(cc * tc, axis=1) / denom).tolist()
+    t_ss, c_ss = np.sum(tc * tc, axis=1), np.sum(cc * cc, axis=1)
+    for name, ss in (("target", t_ss), ("covariate", c_ss)):
+        if np.any(ss == 0):
+            raise ValueError(f"zero-variance overlap in lag correlation: the {name} is flat")
+    r = np.abs(np.sum(cc * tc, axis=1) / np.sqrt(c_ss * t_ss)).tolist()
 
     best = 0
     for i in range(1, len(r)):
@@ -179,8 +176,8 @@ def remove_additive_outliers(values: np.ndarray) -> tuple[np.ndarray, list[int]]
     were flagged.
     """
     values = np.asarray(values, dtype=float)
-    if values.size < 20:
-        raise ValueError("series too short for outlier screening (need >= 20)")
+    if values.size < MIN_SCREEN_WEEKS:
+        raise ValueError(f"series too short for outlier screening (need >= {MIN_SCREEN_WEEKS})")
     if not np.all(np.isfinite(values)):
         raise ValueError("series contains non-finite values")
     if np.any(values < 0):

@@ -12,7 +12,9 @@ import pytest
 
 import denguegp
 from denguegp.cli import (FORECAST_HEADER, build_parser, main, resolve_config)
-from denguegp.data import DataValidationError
+from denguegp.data import DataValidationError, load_dataset
+from denguegp.evaluation import CityData, build_design
+from denguegp.hyperopt import MIN_TRAINING_POINTS
 
 
 @pytest.fixture(autouse=True)
@@ -243,6 +245,41 @@ class TestBacktestCommand:
         assert "bad setting value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, first_target, code", [
+        ("lm", "10", 2), ("gp", "40", 2), ("lm", "41", 0), ("ar", "23", 2), ("ar", "24", 0)])
+    def test_first_view_must_fit_the_models(self, sim_dir, tmp_path, capsys, model,
+                                            first_target, code):
+        # gp and lm need a 37-week view for lag selection, ar a 20-week
+        # view for the outlier screen; the view ends 4 weeks before the target
+        out = tmp_path / "x"
+        last_target = str(int(first_target) + 2)
+        assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(out),
+                     "--model", model, "--restarts", "1", "--first-target", first_target,
+                     "--last-target", last_target]) == code
+        if code == 2:
+            assert "bad setting value" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_short_gp_designs_are_gaps(self, tmp_path):
+        # designs under 30 rows cannot be optimized: those weeks are gaps,
+        # and the city goes on once the design is long enough
+        data, out = str(tmp_path / "d"), str(tmp_path / "o")
+        assert main(["simulate", "--out-dir", data, "--n-cities", "2",
+                     "--weeks", "150", "--seed", "0"]) == 0
+        assert main(["backtest", "--data-dir", data, "--out-dir", out, "--model", "gp",
+                     "--restarts", "1", "--first-target", "45", "--last-target", "75"]) == 0
+        assert read_json(os.path.join(out, "summary.json"))["failures"] == {}
+        ds = load_dataset(*(os.path.join(data, f"{name}.csv") for name in
+                            ("cases", "population", "climate", "stations", "cities")))
+        for cid in ("C001", "C002"):
+            city = CityData.from_dataset(ds, cid)
+            rows = read_csv(os.path.join(out, f"forecast_{cid}_gp.csv"))[1:]
+            gaps = [int(r[0]) for r in rows if r[2] == ""]
+            assert 0 < len(gaps) < len(rows)
+            for t in gaps:
+                weeks, _, _, _ = build_design(city.training_view(t - 4))
+                assert weeks.size < MIN_TRAINING_POINTS
+
     def test_min_population_filter_can_exclude_everything(self, sim_dir, tmp_path, capsys):
         assert main(["backtest", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x"),
@@ -361,7 +398,7 @@ class TestTrainForecast:
         assert main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "x"),
                      "--city", "C001", "--restarts", "1"]) == 2
         err = capsys.readouterr().err
-        assert "climate.csv" in err and "zero-variance" in err
+        assert "climate.csv" in err and "zero-variance" in err and "humidity_pct" in err
 
     @pytest.mark.parametrize("lags", [[2, 5, 6], None])
     def test_invalid_saved_model_exits_2(self, sim_dir, trained_dir, tmp_path, capsys,
@@ -376,6 +413,24 @@ class TestTrainForecast:
                      "--city", "C001"]) == 2
         assert "model_C001.json" in capsys.readouterr().err
         assert not (tmp_path / "prediction_C001.csv").exists()
+
+    def test_forecast_after_data_edit_exits_2(self, sim_dir, trained_dir, tmp_path,
+                                              capsys):
+        # the transform is re-derived from the data, not reloaded, so an
+        # edit before the training end must not pass silently
+        data = copy_bundle(sim_dir, tmp_path / "edited")
+        rows = read_csv(data / "cases.csv")
+        row = next(r for r in rows if r[:2] == ["C001", "100"])
+        row[2] = str(int(row[2]) * 3 + 7)
+        with open(data / "cases.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "f"
+        out.mkdir()
+        shutil.copy(os.path.join(trained_dir, "model_C001.json"), out)
+        assert main(["forecast", "--data-dir", str(data), "--out-dir", str(out),
+                     "--city", "C001"]) == 2
+        assert "model_C001.json" in capsys.readouterr().err
+        assert not (out / "prediction_C001.csv").exists()
 
     def test_unknown_city_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["train", "--data-dir", sim_dir,

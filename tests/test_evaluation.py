@@ -20,7 +20,7 @@ from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
                                  MODELS, BacktestReport, CityData, ForecastRow,
                                  ProtocolConfig, band_auc, aggregate_reports,
                                  build_design, pearson, query_row,
-                                 rebuild_design, run_backtest)
+                                 run_backtest)
 from denguegp.gp import ModelFitError
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.kernels import KernelHyperparameters
@@ -234,15 +234,6 @@ class TestBuildDesign:
             raw = city.covariates[154 - state.lags[d] - 1, d]
             expected = (raw - state.covariate_means[d]) / state.covariate_stds[d]
             assert_allclose(row[d], expected, rtol=1e-15)
-
-    def test_rebuild_matches_build_bit_for_bit(self):
-        city = synthetic_city(SynthSpec(weeks=160, seed=10))
-        view = city.training_view(150)
-        weeks, X, y, state = build_design(view)
-        weeks2, X2, y2 = rebuild_design(view, state)
-        assert np.array_equal(weeks, weeks2)
-        assert np.array_equal(X, X2)
-        assert np.array_equal(y, y2)
 
     def test_centering_uses_cleaned_log_series(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=11))

@@ -119,8 +119,15 @@ class TestSelectLag:
         # the covariate is flat over the overlap of the longest lag only
         rng = np.random.default_rng(53)
         covariate = np.concatenate([np.full(100, 25.0), rng.normal(size=LAG_MAX)])
-        with pytest.raises(ValueError, match="zero-variance"):
+        with pytest.raises(ValueError, match="zero-variance.*covariate is flat"):
             select_lag(covariate, rng.normal(size=covariate.size))
+
+    def test_flat_target_overlap_named(self):
+        # the target is flat from week LAG_MAX on, the longest lag's overlap
+        rng = np.random.default_rng(54)
+        target = np.concatenate([rng.normal(size=LAG_MAX), np.full(100, 1.0)])
+        with pytest.raises(ValueError, match="zero-variance.*target is flat"):
+            select_lag(rng.normal(size=target.size), target)
 
     def test_exact_tie_breaks_to_smaller_lag(self):
         # period-2 covariate makes |r| exactly 1 at every candidate lag
@@ -312,11 +319,6 @@ class TestRemoveAdditiveOutliers:
 
 
 class TestTransformState:
-    def test_round_trip(self):
-        state = TransformState(1.5, (0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (4, 15, 26),
-                               flagged_weeks=(12, 80))
-        assert TransformState.from_dict(state.to_dict()) == state
-
     def test_rejects_bad_std(self):
         with pytest.raises(ValueError):
             TransformState(0.0, (0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (4, 4, 4))
