@@ -278,8 +278,13 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def _city_worker(task):
-    """Run every requested model for one city; exceptions become data."""
+    """Run every requested model for one city; exceptions become data.
+
+    The models share the city's per-origin preprocessing.  The worker
+    runs on a copy of the city, so that cache is freed when it returns.
+    """
     city, models, protocol, optimizer_config = task
+    city = replace(city)
     try:
         reports = [run_backtest(city, m, protocol, optimizer_config if m == "gp" else None)
                    for m in models]
@@ -363,7 +368,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "mixed": (synth.SynthSpec(), synth.strongly_periodic_spec(),
                   synth.low_incidence_spec()),
     }[cfg.variation]
-    variations = tuple(replace(v, weeks=cfg.weeks) for v in presets)
+    try:
+        variations = tuple(replace(v, weeks=cfg.weeks) for v in presets)
+    except ValueError as e:
+        raise DataValidationError(f"bad setting value: --weeks {cfg.weeks}: {e}") from None
 
     ds = synth.make_multi_city_fixture(cfg.out_dir, cfg.n_cities,
                                        variations=variations, seed=cfg.seed)

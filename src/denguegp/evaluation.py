@@ -3,15 +3,18 @@
 A forecast for week t may use observations through week t - 4 and
 nothing newer.  The harness enforces that with hard-copied training
 views: every model (the GP and both baselines) sees only a view ending
-at the origin, the full preprocessing chain is recomputed inside each
-view, and the actual value of a target week is read from the city only
-to score its row.
+at the origin, and the actual value of a target week is read from the
+city only to score its row.  The full preprocessing chain runs once per
+view: the outlier screen and the design built from a view are shared by
+every model backtested on the same city, so a three-model backtest
+preprocesses each origin once, not once per model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +113,28 @@ class TrainingView:
     def end_week(self) -> int:
         return self.start_week + self.dir_values.size - 1
 
+    @cached_property
+    def log_series(self) -> tuple[np.ndarray, tuple]:
+        """Outlier-cleaned log1p series plus the flagged weeks.
+
+        Computed on first use and kept, so the AR baseline and
+        build_design share one outlier screen; the array is read-only.
+        """
+        cleaned, flagged = remove_additive_outliers(self.dir_values)
+        log_values = log_transform(cleaned)
+        log_values.flags.writeable = False
+        return log_values, tuple(self.start_week + i for i in flagged)
+
+    @cached_property
+    def design(self) -> tuple | None:
+        """build_design(self) computed on first use and kept, or None
+        where the view cannot be preprocessed (build_design raised
+        ValueError), so a failure is not retried either."""
+        try:
+            return build_design(self)
+        except ValueError:
+            return None
+
     def covariate_at(self, week: int) -> np.ndarray:
         if not self.start_week <= week <= self.end_week:
             raise IndexError(f"week {week} outside the view")
@@ -122,6 +147,9 @@ class CityData:
 
     training_view(end_week) is the only sanctioned path into the data
     while producing forecasts; actual_dir(week) exists for scoring.
+    shared_view(end_week) memoizes one view per end week, with its
+    preprocessing, for the models of a backtest to share; the arrays
+    must therefore not change once a backtest has run on the city.
     """
 
     city_id: str
@@ -129,6 +157,7 @@ class CityData:
     population: int
     dir_series: WeeklySeries
     covariates: np.ndarray
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.covariates.shape != (self.dir_series.n_weeks, 3):
@@ -155,14 +184,17 @@ class CityData:
         return TrainingView(self.city_id, s.start_week,
                             s.values[:n].copy(), self.covariates[:n].copy())
 
+    def shared_view(self, end_week: int) -> TrainingView:
+        """The training view ending at end_week, made once per end week
+        and shared by every later caller together with its preprocessing,
+        so callers must not modify it (training_view gives a private copy)."""
+        view = self._views.get(end_week)
+        if view is None:
+            view = self._views[end_week] = self.training_view(end_week)
+        return view
+
     def actual_dir(self, week: int) -> float:
         return self.dir_series.value_at(week)
-
-
-def _log_series(view: TrainingView) -> tuple[np.ndarray, tuple]:
-    """Outlier-cleaned log1p series of the view, plus the flagged weeks."""
-    cleaned, flagged = remove_additive_outliers(view.dir_values)
-    return log_transform(cleaned), tuple(view.start_week + i for i in flagged)
 
 
 def build_design(view: TrainingView):
@@ -174,7 +206,7 @@ def build_design(view: TrainingView):
     log response, and the frozen statistics needed to build query rows
     and undo the centering.
     """
-    log_values, flagged = _log_series(view)
+    log_values, flagged = view.log_series
     lags = []
     for d, name in enumerate(CLIMATE_COLUMNS):
         try:
@@ -230,8 +262,9 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
                  optimizer_config: OptimizerConfig | None = None) -> BacktestReport:
     """Forecast every target week with the chosen model and score it.
 
-    Each target t is predicted from a training view ending at t - horizon
-    with preprocessing recomputed inside the view.  A ValueError or
+    Each target t is predicted from the city's shared training view
+    ending at t - horizon, preprocessed inside that view once for all
+    models run on the city.  A ValueError or
     ModelFitError at one origin leaves a gap in that week's row (and the
     failure count) instead of aborting the city; metrics use the
     available rows.  The GP re-optimizes its hyperparameters at every
@@ -252,15 +285,15 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
     h = None
     rows = []
     for t in range(protocol.first_target, last + 1):
-        view = city.training_view(t - protocol.horizon)
+        view = city.shared_view(t - protocol.horizon)
         forecast = (None, None, None, None)
         try:
             if model == "ar":
-                log_values, _ = _log_series(view)
+                log_values, _ = view.log_series
                 log_pred = ar_forecast4(ar_fit(log_values), log_values[-1])
                 forecast = (_to_natural(log_pred), None, None, None)
-            else:
-                weeks, X, y, state = build_design(view)
+            elif view.design is not None:
+                weeks, X, y, state = view.design
                 x_query = query_row(view, state, t)
                 if model == "lm":
                     log_pred = lm_predict(lm_fit(X, y), x_query) + state.response_mean

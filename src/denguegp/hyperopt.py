@@ -109,15 +109,20 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")
 
+    values = []  # every objective value, in evaluation order
+
     def objective(log_theta):
+        f, g = _FAILURE_VALUE, np.zeros(N_PARAMS)
         try:
             h = KernelHyperparameters.from_log_vector(log_theta)
             value, grad = lml_value_and_gradient(weeks, X, targets, h)
         except ModelFitError:
-            return _FAILURE_VALUE, np.zeros(N_PARAMS)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return _FAILURE_VALUE, np.zeros(N_PARAMS)
-        return -value, -grad
+            pass
+        else:
+            if np.isfinite(value) and np.all(np.isfinite(grad)):
+                f, g = -value, -grad
+        values.append(f)
+        return f, g
 
     rng = np.random.default_rng(config.seed)
     target_variance = float(np.var(targets))
@@ -126,7 +131,7 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     for i in range(config.restarts):
         start = default_initialization(target_variance, i, rng)
         x0 = start.to_log_vector()
-        f0, _ = objective(x0)
+        first = len(values)
         result = minimize(
             objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
             options={"maxiter": config.max_iterations,
@@ -136,7 +141,8 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
         failed = not np.isfinite(final) or final >= _FAILURE_VALUE / 2
         records.append({
             "restart": i,
-            "initial_lml": float(-f0),
+            # L-BFGS-B evaluates the start point first
+            "initial_lml": float(-values[first]),
             "final_lml": float("nan") if failed else -final,
             "iterations": int(result.nit),
             "termination": str(result.message),

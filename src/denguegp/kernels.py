@@ -196,16 +196,21 @@ def _by_lag(weeks, h: KernelHyperparameters) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(w[:, None] - w[None, :]), _time_parts(np.arange(np.ptp(w) + 1.0), h)
 
 
-def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool) -> np.ndarray:
+def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
+                     *, by_lag=None) -> np.ndarray:
     """Gram matrix over a design of n weeks and its (n, 3) covariate rows.
 
-    The time kernel is gathered by lag.  The upper triangle is mirrored
-    so the result is exactly symmetric (BLAS matmuls are not).
+    Exactly symmetric by construction: the time kernel is gathered from
+    the symmetric lag table, and the linear part is Z Z^T with
+    Z = X / ell, which BLAS forms as a symmetric rank-k update.  A
+    caller that also needs gram_gradients passes _by_lag(weeks, h) as
+    by_lag, so the time kernel is evaluated once for both.
     """
-    lag, parts = _by_lag(weeks, h)
-    X = np.asarray(X, dtype=float)
-    k = (parts[0] + parts[2])[lag] + (h.sigma_lin_sq + (X / h.ard_lengthscales**2) @ X.T)
-    k = np.triu(k) + np.triu(k, 1).T
+    lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
+    Z = np.asarray(X, dtype=float) / h.ard_lengthscales
+    k = (parts[0] + parts[2])[lag]
+    k += Z @ Z.T
+    k += h.sigma_lin_sq
     if include_noise:
         k[np.diag_indices_from(k)] += h.sigma_noise_sq
     return k
@@ -218,13 +223,14 @@ def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     return parts[0] + parts[2] + linear
 
 
-def gram_gradients(weeks, X, h: KernelHyperparameters, W) -> np.ndarray:
+def gram_gradients(weeks, X, h: KernelHyperparameters, W, *, by_lag=None) -> np.ndarray:
     """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta) for an n x n
     array W, in PARAM_NAMES order, without forming any n x n gradient:
     time gradients are dot products with W summed by lag, ARD gradients
     quadratic forms, bias sigma_lin^2 sum(W) and noise sigma_noise^2 tr(W).
+    by_lag is _by_lag(weeks, h) when the caller has it already.
     """
-    lag, parts = _by_lag(weeks, h)
+    lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
     X = np.asarray(X, dtype=float)
     time = parts @ np.bincount(lag.ravel(), weights=W.ravel(), minlength=parts.shape[1])
     ard = -2.0 * np.sum(X * (W @ X), axis=0) / h.ard_lengthscales**2

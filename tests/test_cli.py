@@ -149,6 +149,13 @@ class TestSimulate:
         rows = read_csv(os.path.join(d, "cases.csv"))
         assert {r[0] for r in rows[1:]} == {"C001"}
 
+    def test_too_few_weeks_exits_2(self, tmp_path, capsys):
+        d = str(tmp_path / "short")
+        assert main(["simulate", "--out-dir", d, "--n-cities", "1",
+                     "--weeks", "30", "--seed", "1"]) == 2
+        assert "--weeks 30" in capsys.readouterr().err
+        assert not os.path.exists(d)
+
 
 class TestIngest:
     def test_summary_output(self, sim_dir, tmp_path, capsys):

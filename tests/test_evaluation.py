@@ -264,6 +264,19 @@ class StubOptimizer:
         return FIXED_H, 0.0, {"selected_restart": 0, "restarts": []}
 
 
+def count_calls(monkeypatch, name):
+    """Wrap evaluation.<name> so its calls are counted; returns the counter."""
+    calls = []
+    original = getattr(evaluation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, name, counted)
+    return calls
+
+
 class TestBacktestProtocol:
     def test_full_series_has_one_row_per_target(self):
         city = synthetic_city(SynthSpec(weeks=209, seed=12))
@@ -351,12 +364,31 @@ class TestBacktestProtocol:
         covariates[:120, 2] = covariates[0, 2]
         flat = make_city(city.dir_series.values, covariates)
         monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
+        designs = count_calls(monkeypatch, "build_design")
         protocol = ProtocolConfig(first_target=145, last_target=156)
-        gp = run_backtest(flat, "gp", protocol=protocol)
-        lm = run_backtest(flat, "lm", protocol=protocol)
+        gp, lm, ar = (run_backtest(flat, m, protocol=protocol) for m in ("gp", "lm", "ar"))
         gaps = [r.target_week for r in gp.rows if r.predicted_dir is None]
         assert 0 < gp.n_failed < len(gp.rows)
         assert gaps == [r.target_week for r in lm.rows if r.predicted_dir is None]
+        # the failed design is remembered, not rebuilt for lm, and ar needs none
+        assert len(designs) == len(gp.rows)
+        assert all(r.predicted_dir is not None for r in ar.rows if r.target_week in gaps)
+
+    def test_models_share_one_preprocessing_per_origin(self, monkeypatch):
+        city = synthetic_city(SynthSpec(weeks=130, seed=13))
+        monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
+        screens = count_calls(monkeypatch, "remove_additive_outliers")
+        designs = count_calls(monkeypatch, "build_design")
+        protocol = ProtocolConfig(first_target=105, last_target=116)
+        reports = [run_backtest(city, m, protocol=protocol) for m in MODELS]
+        n_targets = len(reports[0].rows)
+        assert all(r.n_failed == 0 for r in reports)
+        assert len(screens) == n_targets
+        assert len(designs) <= n_targets
+        # sharing moves no number: each model alone on its own copy agrees
+        alone = [run_backtest(make_city(city.dir_series.values, city.covariates), m,
+                              protocol=protocol) for m in MODELS]
+        assert [r.rows for r in alone] == [r.rows for r in reports]
 
     def test_ar_overflow_becomes_gap(self):
         # 12-week window [0]*10 + [1, 10] on the log scale fits a slope

@@ -3,12 +3,13 @@ gradient, each checked against brute-force dense linear algebra."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from denguegp.gp import (ModelFitError, fit, lml_value_and_gradient,
-                         log_marginal_likelihood, predict)
+from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_from_chol, fit,
+                         lml_value_and_gradient, log_marginal_likelihood, predict)
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
-                              composite_kernel, gram_from_arrays)
+                              composite_kernel, gram_from_arrays, gram_gradients)
 from denguegp.preprocess import TransformState
 
 from test_kernels import (make_hyperparameters, random_design,
@@ -248,6 +249,38 @@ class TestLmlGradient:
                 fd = finite_difference_lml(weeks, X, y, h, idx)
                 assert_allclose(grad[idx], fd, rtol=1e-4, atol=1e-7)
 
+    def test_matches_dense_inverse_reference(self):
+        """Against np.linalg.inv of the (jittered) Gram matrix: within
+        1e-9 relative, or cond(K) * eps where duplicate noiseless inputs
+        force jitter, since no inverse of K is more accurate than that."""
+        rng = np.random.default_rng(107)
+        cases = [random_instance(rng, 40) for _ in range(5)]
+        weeks, X = random_design(rng, 10, max_week=120)
+        # every input twice, with equal targets so y lies in K's range
+        cases.append((np.tile(weeks, 2), np.tile(X, (2, 1)), np.tile(rng.normal(size=10), 2),
+                      random_hyperparameters(rng).replace(sigma_noise_sq=0.0)))
+        jittered = 0
+        for weeks, X, y, h in cases:
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
+            _, jitter = _chol_with_jitter(K)
+            jittered += jitter > 0
+            K += jitter * np.eye(y.size)
+            K_inv = np.linalg.inv(K)
+            alpha = K_inv @ y
+            expected = 0.5 * gram_gradients(weeks, X, h, np.outer(alpha, alpha) - K_inv)
+            tol = max(1e-9, np.linalg.cond(K) * np.finfo(float).eps)
+            error = np.max(np.abs(lml_grad(weeks, X, y, h) - expected))
+            assert error <= tol * np.max(np.abs(expected))
+        assert jittered == 1
+
+    def test_inverse_is_exactly_symmetric(self):
+        rng = np.random.default_rng(109)
+        weeks, X, _, h = random_instance(rng, 30)
+        K = gram_from_arrays(weeks, X, h, include_noise=True)
+        K_inv = _inverse_from_chol(_chol_with_jitter(K)[0])
+        assert np.array_equal(K_inv, K_inv.T)
+        assert_allclose(K_inv, np.linalg.inv(K), rtol=1e-9, atol=1e-12 * np.abs(K_inv).max())
+
     def test_value_and_gradient_agree_with_separate_calls(self):
         rng = np.random.default_rng(89)
         weeks, X, y, h = random_instance(rng, 7)
@@ -297,15 +330,19 @@ class TestFailureModes:
     def test_cholesky_failure_raises_model_fit_error(self):
         # a wildly non-PSD matrix cannot come from the kernel, so force the
         # factorization path directly
-        from denguegp.gp import _chol_with_jitter
-
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ModelFitError):
             _chol_with_jitter(bad)
 
-    def test_jitter_stays_bounded(self):
-        from denguegp.gp import _chol_with_jitter
+    def test_zero_jitter_is_plain_cholesky(self):
+        rng = np.random.default_rng(113)
+        weeks, X, _, h = random_instance(rng, 30)
+        K = gram_from_arrays(weeks, X, h, include_noise=True)
+        L, jitter = _chol_with_jitter(K)
+        assert jitter == 0.0
+        assert np.array_equal(L, scipy.linalg.cholesky(K, lower=True))
 
+    def test_jitter_stays_bounded(self):
         h = make_hyperparameters(sigma_noise_sq=0.0)
         K = gram_from_arrays([5, 5], np.zeros((2, 3)), h, include_noise=True)
         L, jitter = _chol_with_jitter(K)

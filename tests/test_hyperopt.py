@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from denguegp.gp import log_marginal_likelihood
 from denguegp.hyperopt import (LOG_BOUNDS, MIN_TRAINING_POINTS, OptimizerConfig,
                                default_initialization, optimize)
-from denguegp.kernels import PARAM_NAMES
+from denguegp.kernels import PARAM_NAMES, KernelHyperparameters
 
 
 def white_noise_instance(rng, n=60, noise_variance=0.5):
@@ -92,6 +92,19 @@ class TestOptimize:
         _, lml, diag = optimize(weeks, X, targets, cfg)
         for record in diag["restarts"]:
             assert lml >= record["initial_lml"] - 1e-9
+
+    def test_initial_lml_is_the_start_point_likelihood(self):
+        # taken from the optimizer's first evaluation, not a separate one
+        rng = np.random.default_rng(19)
+        weeks, X, targets = white_noise_instance(rng, n=40)
+        cfg = OptimizerConfig(restarts=3, max_iterations=30, seed=4)
+        _, _, diag = optimize(weeks, X, targets, cfg)
+        starts = np.random.default_rng(cfg.seed)
+        for record in diag["restarts"]:
+            start = default_initialization(np.var(targets), record["restart"], starts)
+            h = KernelHyperparameters.from_log_vector(start.to_log_vector())
+            assert record["initial_lml"] == pytest.approx(
+                log_marginal_likelihood(weeks, X, targets, h), rel=1e-12)
 
     def test_selected_restart_has_best_final(self):
         rng = np.random.default_rng(17)

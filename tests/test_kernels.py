@@ -214,11 +214,12 @@ class TestGramMatrix:
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            h = random_hyperparameters(rng)
-            weeks, X = random_design(rng, 20)
-            K = gram_from_arrays(weeks, X, h, include_noise=True)
-            assert np.array_equal(K, K.T)
+        for design in (random_design, irregular_design):
+            for _ in range(10):
+                h = random_hyperparameters(rng)
+                weeks, X = design(rng, 20)
+                K = gram_from_arrays(weeks, X, h, include_noise=True)
+                assert np.array_equal(K, K.T)
 
     def test_matches_pairwise_kernel(self):
         rng = np.random.default_rng(8)
