@@ -65,6 +65,12 @@ class ProtocolConfig:
             raise ValueError("last_target must be >= first_target")
 
 
+def _read_only_copy(values) -> np.ndarray:
+    copy = np.array(values, dtype=float)
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class ForecastRow:
     target_week: int
@@ -126,14 +132,25 @@ class TrainingView:
         return log_values, tuple(self.start_week + i for i in flagged)
 
     @cached_property
-    def design(self) -> tuple | None:
-        """build_design(self) computed on first use and kept, or None
-        where the view cannot be preprocessed (build_design raised
-        ValueError), so a failure is not retried either."""
+    def _design_or_error(self):
         try:
-            return build_design(self)
-        except ValueError:
-            return None
+            design = build_design(self)
+        except ValueError as e:
+            return e
+        for array in design[:3]:
+            array.flags.writeable = False
+        return design
+
+    @property
+    def design(self) -> tuple:
+        """build_design(self), computed on first use and kept with its
+        (weeks, X, y) arrays read-only.  A view that cannot be
+        preprocessed raises build_design's ValueError on every access,
+        so a failure is not retried either."""
+        design = self._design_or_error
+        if isinstance(design, ValueError):
+            raise design.with_traceback(None)
+        return design
 
     def covariate_at(self, week: int) -> np.ndarray:
         if not self.start_week <= week <= self.end_week:
@@ -148,8 +165,8 @@ class CityData:
     training_view(end_week) is the only sanctioned path into the data
     while producing forecasts; actual_dir(week) exists for scoring.
     shared_view(end_week) memoizes one view per end week, with its
-    preprocessing, for the models of a backtest to share; the arrays
-    must therefore not change once a backtest has run on the city.
+    preprocessing, for the models of a backtest to share.  The city
+    keeps read-only copies of its arrays, so that cache cannot go stale.
     """
 
     city_id: str
@@ -162,6 +179,10 @@ class CityData:
     def __post_init__(self):
         if self.covariates.shape != (self.dir_series.n_weeks, 3):
             raise ValueError("covariates must align with the incidence series")
+        s = self.dir_series
+        object.__setattr__(self, "dir_series",
+                           WeeklySeries(s.city_id, s.start_week, _read_only_copy(s.values)))
+        object.__setattr__(self, "covariates", _read_only_copy(self.covariates))
 
     @classmethod
     def from_dataset(cls, ds: Dataset, city_id: str) -> "CityData":
@@ -173,7 +194,7 @@ class CityData:
             region=city.region,
             population=city.population,
             dir_series=compute_dir(cases, city.population),
-            covariates=station.window(cases.start_week, cases.end_week).copy(),
+            covariates=station.window(cases.start_week, cases.end_week),
         )
 
     def training_view(self, end_week: int) -> TrainingView:
@@ -186,11 +207,13 @@ class CityData:
 
     def shared_view(self, end_week: int) -> TrainingView:
         """The training view ending at end_week, made once per end week
-        and shared by every later caller together with its preprocessing,
-        so callers must not modify it (training_view gives a private copy)."""
+        and shared by every later caller together with its preprocessing;
+        its arrays are read-only (training_view gives a private copy)."""
         view = self._views.get(end_week)
         if view is None:
             view = self._views[end_week] = self.training_view(end_week)
+            view.dir_values.flags.writeable = False
+            view.covariates.flags.writeable = False
         return view
 
     def actual_dir(self, week: int) -> float:
@@ -292,7 +315,7 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
                 log_values, _ = view.log_series
                 log_pred = ar_forecast4(ar_fit(log_values), log_values[-1])
                 forecast = (_to_natural(log_pred), None, None, None)
-            elif view.design is not None:
+            else:
                 weeks, X, y, state = view.design
                 x_query = query_row(view, state, t)
                 if model == "lm":

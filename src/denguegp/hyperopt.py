@@ -109,19 +109,20 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")
 
-    values = []  # every objective value, in evaluation order
-
     def objective(log_theta):
-        f, g = _FAILURE_VALUE, np.zeros(N_PARAMS)
         try:
             h = KernelHyperparameters.from_log_vector(log_theta)
             value, grad = lml_value_and_gradient(weeks, X, targets, h)
         except ModelFitError:
-            pass
-        else:
-            if np.isfinite(value) and np.all(np.isfinite(grad)):
-                f, g = -value, -grad
-        values.append(f)
+            return _FAILURE_VALUE, np.zeros(N_PARAMS)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return _FAILURE_VALUE, np.zeros(N_PARAMS)
+        return -value, -grad
+
+    def recorded(log_theta, first_value):
+        f, g = objective(log_theta)
+        if not first_value:  # L-BFGS-B evaluates the start point first
+            first_value.append(f)
         return f, g
 
     rng = np.random.default_rng(config.seed)
@@ -131,9 +132,9 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     for i in range(config.restarts):
         start = default_initialization(target_variance, i, rng)
         x0 = start.to_log_vector()
-        first = len(values)
+        first_value = []
         result = minimize(
-            objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
+            recorded, x0, args=(first_value,), jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
             options={"maxiter": config.max_iterations,
                      "gtol": _GRADIENT_TOLERANCE,
                      "ftol": 1e-12})
@@ -141,8 +142,7 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
         failed = not np.isfinite(final) or final >= _FAILURE_VALUE / 2
         records.append({
             "restart": i,
-            # L-BFGS-B evaluates the start point first
-            "initial_lml": float(-values[first]),
+            "initial_lml": float(-first_value[0]),
             "final_lml": float("nan") if failed else -final,
             "iterations": int(result.nit),
             "termination": str(result.message),

@@ -186,6 +186,16 @@ class TestTrainingView:
         view.covariates[:] = -1.0
         assert np.array_equal(city.dir_series.values, before)
 
+    def test_shared_preprocessing_is_read_only(self):
+        # a city's arrays cannot change under the views and designs it caches
+        city = synthetic_city(SynthSpec(weeks=160, seed=5))
+        view = city.shared_view(150)
+        weeks, X, y, _ = view.design
+        for array in (city.dir_series.values, city.covariates, view.dir_values,
+                      view.covariates, view.log_series[0], weeks, X, y):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_view_window(self):
         city = synthetic_city(SynthSpec(weeks=120, seed=6))
         view = city.training_view(80)
@@ -373,6 +383,10 @@ class TestBacktestProtocol:
         # the failed design is remembered, not rebuilt for lm, and ar needs none
         assert len(designs) == len(gp.rows)
         assert all(r.predicted_dir is not None for r in ar.rows if r.target_week in gaps)
+        # the remembered failure keeps its reason
+        with pytest.raises(ValueError, match="lag selection for humidity_pct"):
+            flat.shared_view(gaps[0] - protocol.horizon).design
+        assert len(designs) == len(gp.rows)
 
     def test_models_share_one_preprocessing_per_origin(self, monkeypatch):
         city = synthetic_city(SynthSpec(weeks=130, seed=13))

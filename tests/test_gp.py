@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_from_chol, fit,
-                         lml_value_and_gradient, log_marginal_likelihood, predict)
+from denguegp.gp import (ModelFitError, _chol_with_jitter, fit, lml_value_and_gradient,
+                         log_marginal_likelihood, predict)
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays, gram_gradients)
 from denguegp.preprocess import TransformState
@@ -272,14 +272,6 @@ class TestLmlGradient:
             error = np.max(np.abs(lml_grad(weeks, X, y, h) - expected))
             assert error <= tol * np.max(np.abs(expected))
         assert jittered == 1
-
-    def test_inverse_is_exactly_symmetric(self):
-        rng = np.random.default_rng(109)
-        weeks, X, _, h = random_instance(rng, 30)
-        K = gram_from_arrays(weeks, X, h, include_noise=True)
-        K_inv = _inverse_from_chol(_chol_with_jitter(K)[0])
-        assert np.array_equal(K_inv, K_inv.T)
-        assert_allclose(K_inv, np.linalg.inv(K), rtol=1e-9, atol=1e-12 * np.abs(K_inv).max())
 
     def test_value_and_gradient_agree_with_separate_calls(self):
         rng = np.random.default_rng(89)
