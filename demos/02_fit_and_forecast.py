@@ -14,7 +14,7 @@ Run with:  python3 demos/02_fit_and_forecast.py   (takes a few seconds)
 import dataclasses
 import time
 
-from denguegp.evaluation import TrainingView, build_design, query_row
+from denguegp.evaluation import TrainingView, build_design, query_row, to_natural
 from denguegp.gp import fit, predict
 from denguegp.hyperopt import OptimizerConfig, optimize
 from denguegp.synth import draw_from_prior, strongly_periodic_spec
@@ -55,17 +55,20 @@ def main():
           f"{spec.hyperparameters.period:g}")
     print()
 
-    model = fit(weeks, X, y, h, transform=state)
+    model = fit(weeks, X, y, h)
     print("Four-week-ahead forecasts (DIR per 100k):")
     print(f"  {'week':>5s}  {'actual':>8s}  {'predicted':>9s}  {'95% interval':>18s}")
     for target in range(TRAIN_END + 1, TRAIN_END + 5):
         dist = predict(model, target, query_row(view, state, target))
+        predicted, _, lower, upper = to_natural(dist.mean + state.response_mean,
+                                                dist.variance)
         actual = draw.dir_series.value_at(target)
-        interval = f"[{dist.natural_lower:7.1f}, {dist.natural_upper:7.1f}]"
-        print(f"  {target:>5d}  {actual:>8.1f}  {dist.natural_mean:>9.1f}  {interval:>18s}")
+        interval = f"[{lower:7.1f}, {upper:7.1f}]"
+        print(f"  {target:>5d}  {actual:>8.1f}  {predicted:>9.1f}  {interval:>18s}")
     print()
-    print("The interval is the back-transform of mean +/- 1.96 sd from the")
-    print("log-scale Gaussian, clamped at zero, so it is asymmetric on the")
+    print("The GP predicts on the centered log scale.  With the response mean")
+    print("added back, to_natural maps mean +/- 1.96 sd of that Gaussian")
+    print("through expm1, clamped at zero, so the interval is asymmetric on the")
     print("incidence scale and widens with the forecast horizon.")
 
 

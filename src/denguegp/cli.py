@@ -18,10 +18,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .data import DataValidationError, load_dataset
-from .evaluation import (MIN_VIEW_WEEKS, MODELS, CityData, ForecastRow,
+from .data import DataValidationError, _format_number, load_dataset
+from .evaluation import (_METRICS, MIN_VIEW_WEEKS, MODELS, CityData, ForecastRow,
                          ProtocolConfig, aggregate_reports, build_design,
-                         query_row, run_backtest)
+                         query_row, run_backtest, to_natural)
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
 from .kernels import KernelHyperparameters
@@ -151,10 +151,7 @@ def _write_json(path: str, payload: dict):
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+    return "" if v is None else _format_number(v)
 
 
 def _write_forecast_csv(path: str, rows, model: str):
@@ -262,14 +259,14 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"horizon {cfg.horizon} exceeds the shortest covariate lag {min(state.lags)}")
 
-    model = fit(weeks, X, y, h, transform=state)
+    model = fit(weeks, X, y, h)
 
     rows = []
     for t in range(end + 1, end + cfg.horizon + 1):
         dist = predict(model, t, query_row(view, state, t))
         actual = city.actual_dir(t) if t <= city.dir_series.end_week else None
-        rows.append(ForecastRow(t, actual, dist.natural_mean, dist.sd,
-                                dist.natural_lower, dist.natural_upper))
+        rows.append(ForecastRow(t, actual, *to_natural(dist.mean + state.response_mean,
+                                                       dist.variance)))
 
     out_path = os.path.join(cfg.out_dir, f"prediction_{cfg.city}.csv")
     _write_forecast_csv(out_path, rows, "gp")
@@ -388,14 +385,13 @@ def cmd_report(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"no {summary_path}; run the backtest command first") from None
 
-    metrics = ("pearson", "auc_medium", "auc_high", "auc_mean")
     models = summary["models"]
 
     with open(os.path.join(cfg.out_dir, "scatter.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(("metric", "model_a", "model_b", "city_id", "value_a", "value_b"))
-        for metric in metrics:
+        for metric in _METRICS:
             for i, a in enumerate(models):
                 for b in models[i + 1:]:
                     for cid in sorted(summary["cities"]):
@@ -415,7 +411,7 @@ def cmd_report(cfg: RunConfig) -> int:
         blocks += sorted(summary["regions"].items())
         for region, block in blocks:
             for m in models:
-                for metric in metrics:
+                for metric in _METRICS:
                     q = block[m][metric]
                     if q is None:
                         continue

@@ -267,18 +267,28 @@ def query_row(view: TrainingView, state: TransformState, target_week: int) -> np
     return (raw - np.array(state.covariate_means)) / np.array(state.covariate_stds)
 
 
-def _to_natural(log_pred: float) -> float:
-    """Baseline back-transform; an overflowing forecast is a failed week.
+def to_natural(log_pred: float, variance: float | None = None) -> tuple:
+    """Map one log-scale forecast back to the DIR scale.
 
-    An explosive AR window (slope above 1) can push the 4-step log
-    prediction past the float range, and a forecast of inf is not a
-    number to score.
+    Returns (predicted_dir, sd, lower95, upper95): expm1 of the log
+    prediction and, given its log-scale predictive variance, the sd and
+    the 95% interval expm1(log_pred -/+ 1.96 sd) clamped at zero.
+    Without a variance the last three are None.  A number that leaves
+    the float range raises ModelFitError: an explosive AR window (slope
+    above 1), for one, can push the 4-step log prediction past it, and
+    a forecast of inf is not a number to score.
     """
     with np.errstate(over="ignore"):
-        value = float(np.expm1(log_pred))
-    if not np.isfinite(value):
-        raise ValueError("forecast overflows the float range")
-    return value
+        predicted = float(np.expm1(log_pred))
+        if variance is None:
+            out = (predicted, None, None, None)
+        else:
+            sd = float(np.sqrt(variance))
+            out = (predicted, sd, max(0.0, float(np.expm1(log_pred - 1.96 * sd))),
+                   max(0.0, float(np.expm1(log_pred + 1.96 * sd))))
+    if not all(v is None or math.isfinite(v) for v in out):
+        raise ModelFitError("forecast overflows the float range")
+    return out
 
 
 def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = None,
@@ -313,14 +323,13 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
         try:
             if model == "ar":
                 log_values, _ = view.log_series
-                log_pred = ar_forecast4(ar_fit(log_values), log_values[-1])
-                forecast = (_to_natural(log_pred), None, None, None)
+                forecast = to_natural(ar_forecast4(ar_fit(log_values), log_values[-1]))
             else:
                 weeks, X, y, state = view.design
                 x_query = query_row(view, state, t)
                 if model == "lm":
-                    log_pred = lm_predict(lm_fit(X, y), x_query) + state.response_mean
-                    forecast = (_to_natural(log_pred), None, None, None)
+                    forecast = to_natural(lm_predict(lm_fit(X, y), x_query)
+                                          + state.response_mean)
                 else:
                     if h is None or (t - protocol.first_target) % protocol.refit_every == 0:
                         try:
@@ -328,9 +337,9 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
                         except ModelFitError:
                             pass  # keep the previous hyperparameters, retry next week
                     if h is not None:
-                        dist = predict(fit(weeks, X, y, h, transform=state), t, x_query)
-                        forecast = (dist.natural_mean, dist.sd,
-                                    dist.natural_lower, dist.natural_upper)
+                        dist = predict(fit(weeks, X, y, h), t, x_query)
+                        forecast = to_natural(dist.mean + state.response_mean,
+                                              dist.variance)
         except (ValueError, ModelFitError):
             pass
         rows.append(ForecastRow(t, city.actual_dir(t), *forecast))

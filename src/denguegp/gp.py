@@ -9,8 +9,9 @@ triangular solves per query:
 
 Inputs are a design of n week indices, its (n, 3) matrix of
 standardized covariate rows and n targets; a query is one week plus its
-(3,) covariate row.  Targets are centered log-incidence; the attached
-transform state maps predictions back to the natural incidence scale.
+(3,) covariate row.  Targets are centered log-incidence, and everything
+here stays on that scale: evaluation.to_natural maps a prediction back
+to the incidence (DIR) scale.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .kernels import (
     gram_gradients,
     kernel_vector,
 )
-from .preprocess import TransformState
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -42,7 +42,8 @@ _JITTER_MAX = 1e-4
 
 class ModelFitError(RuntimeError):
     """Raised when a model cannot be fit (ill-conditioned Gram matrix,
-    degenerate data, or an optimizer that never produced a finite value)."""
+    degenerate data, or an optimizer that never produced a finite value)
+    or its forecast overflows the float range."""
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -79,28 +80,20 @@ class TrainedGP:
     hyperparameters: KernelHyperparameters
     chol: np.ndarray
     alpha: np.ndarray
-    transform: TransformState | None = None
     jitter: float = 0.0
 
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Gaussian predictive on the centered log scale plus its
-    back-transformed point forecast and 95% interval on the DIR scale."""
+    """Gaussian predictive of the latent (noise-free) function on the
+    centered log scale."""
 
     mean: float
     variance: float
-    natural_mean: float
-    natural_lower: float
-    natural_upper: float
 
     @property
     def sd(self) -> float:
         return float(np.sqrt(self.variance))
-
-    @property
-    def natural_interval(self) -> tuple[float, float]:
-        return (self.natural_lower, self.natural_upper)
 
 
 def validate_design(weeks, X, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,8 +118,7 @@ def validate_design(weeks, X, targets) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return weeks, X, targets
 
 
-def fit(weeks, X, targets, h: KernelHyperparameters,
-        transform: TransformState | None = None) -> TrainedGP:
+def fit(weeks, X, targets, h: KernelHyperparameters) -> TrainedGP:
     """Factorize the noisy Gram matrix and precompute the weight vector.
 
     Parameters
@@ -137,22 +129,19 @@ def fit(weeks, X, targets, h: KernelHyperparameters,
     targets : array-like, shape (n,)
         Centered log-scale observations.
     h : KernelHyperparameters
-    transform : TransformState, optional
-        Carried along so predictions can be mapped back to the natural
-        scale; a missing transform means identity centering.
     """
     weeks, X, targets = validate_design(weeks, X, targets)
     K = gram_from_arrays(weeks, X, h, include_noise=True)
     L, jitter = _chol_with_jitter(K)
     alpha = cho_solve((L, True), targets)
     return TrainedGP(weeks=weeks, covariates=X, targets=targets,
-                     hyperparameters=h, chol=L, alpha=alpha,
-                     transform=transform, jitter=jitter)
+                     hyperparameters=h, chol=L, alpha=alpha, jitter=jitter)
 
 
 def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
-    """Closed-form predictive mean and variance at one query week with
-    its (3,) covariate row."""
+    """Closed-form predictive mean and latent variance at one query week
+    with its (3,) covariate row, on the centered log scale of the
+    targets; the variance leaves out sigma_noise_sq."""
     x = np.asarray(x, dtype=float)
     if x.shape != (COVARIATE_DIM,) or not np.all(np.isfinite(x)):
         raise ValueError(f"query covariates must be a finite ({COVARIATE_DIM},) array")
@@ -171,17 +160,7 @@ def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
                 "clamp; this indicates a bug or broken factorization"
             )
         variance = 0.0
-
-    offset = 0.0 if model.transform is None else model.transform.response_mean
-    center = mean + offset
-    half = 1.96 * np.sqrt(variance)
-    return PredictiveDistribution(
-        mean=mean,
-        variance=variance,
-        natural_mean=float(np.expm1(center)),
-        natural_lower=max(0.0, float(np.expm1(center - half))),
-        natural_upper=max(0.0, float(np.expm1(center + half))),
-    )
+    return PredictiveDistribution(mean=mean, variance=variance)
 
 
 def log_marginal_likelihood(weeks, X, targets, h: KernelHyperparameters) -> float:

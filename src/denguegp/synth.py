@@ -46,14 +46,6 @@ class CovariateProcess:
             return clean
         return clean + rng.normal(0.0, self.noise_sd, size=weeks.size)
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "amplitude": self.amplitude, "phase": self.phase,
-                "period": self.period, "noise_sd": self.noise_sd}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CovariateProcess":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 def _default_processes() -> tuple:
     # rainfall mm, temperature C, humidity % with staggered phases
@@ -83,25 +75,6 @@ class SynthSpec:
             raise ValueError("need at least 60 weeks")
         if len(self.covariates) != 3:
             raise ValueError("exactly 3 covariate processes required")
-
-    def to_dict(self) -> dict:
-        return {
-            "weeks": self.weeks,
-            "hyperparameters": self.hyperparameters.to_dict(),
-            "covariates": [c.to_dict() for c in self.covariates],
-            "seed": self.seed,
-            "log_offset": self.log_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(
-            weeks=int(d["weeks"]),
-            hyperparameters=KernelHyperparameters.from_dict(d["hyperparameters"]),
-            covariates=tuple(CovariateProcess.from_dict(c) for c in d["covariates"]),
-            seed=int(d["seed"]),
-            log_offset=float(d["log_offset"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -210,7 +183,7 @@ def make_multi_city_fixture(out_dir: str, n_cities: int, variations=None,
 
     paths = save_dataset(ds, out_dir)
     with open(os.path.join(out_dir, "synth_spec.json"), "w", encoding="utf-8") as fh:
-        json.dump({cid: s.to_dict() for cid, s in specs.items()}, fh,
+        json.dump({cid: dataclasses.asdict(s) for cid, s in specs.items()}, fh,
                   indent=2, sort_keys=True)
 
     return load_dataset(

@@ -11,9 +11,11 @@ import sys
 import pytest
 
 import denguegp
+import denguegp.cli
 from denguegp.cli import (FORECAST_HEADER, build_parser, main, resolve_config)
 from denguegp.data import DataValidationError, load_dataset
 from denguegp.evaluation import CityData, build_design
+from denguegp.gp import PredictiveDistribution
 from denguegp.hyperopt import MIN_TRAINING_POINTS
 
 
@@ -381,6 +383,16 @@ class TestTrainForecast:
                      "--city", "C001", "--horizon", horizon]) == 2
         assert "bad setting value" in capsys.readouterr().err
         assert not (out / "prediction_C001.csv").exists()
+
+    def test_overflowing_forecast_exits_3(self, sim_dir, trained_dir, tmp_path, capsys,
+                                          monkeypatch):
+        shutil.copy(os.path.join(trained_dir, "model_C001.json"), tmp_path)
+        monkeypatch.setattr(denguegp.cli, "predict",
+                            lambda model, week, x: PredictiveDistribution(1e6, 0.01))
+        assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(tmp_path),
+                     "--city", "C001"]) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "prediction_C001.csv").exists()
 
     def test_forecast_without_model_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["forecast", "--data-dir", sim_dir,

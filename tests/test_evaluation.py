@@ -20,13 +20,16 @@ from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
                                  MODELS, BacktestReport, CityData, ForecastRow,
                                  ProtocolConfig, band_auc, aggregate_reports,
                                  build_design, pearson, query_row,
-                                 run_backtest)
-from denguegp.gp import ModelFitError
+                                 run_backtest, to_natural)
+from denguegp.gp import ModelFitError, PredictiveDistribution, fit, predict
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.kernels import KernelHyperparameters
 from denguegp.preprocess import LAG_MIN, remove_additive_outliers
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
+
+from test_gp import unit_diagonal_hyperparameters
+from test_kernels import make_hyperparameters
 
 
 def sinusoid_covariates(n):
@@ -159,6 +162,34 @@ class TestBandAuc:
             predicted = np.round(rng.uniform(0, 50, size=30))  # force ties
             assert band_auc(actual, predicted, 25.0) == brute_force_auc(
                 actual, predicted, 25.0)
+
+
+class TestToNatural:
+    def test_natural_scale_back_transform(self):
+        h = unit_diagonal_hyperparameters(noise=0.5)
+        dist = predict(fit([2], np.zeros((1, 3)), [0.5], h), 2, np.zeros(3))
+        center = dist.mean + 3.0
+        half = 1.96 * np.sqrt(dist.variance)
+        natural_mean, sd, lo, hi = to_natural(center, dist.variance)
+        assert sd == dist.sd
+        assert_allclose(natural_mean, np.expm1(center), rtol=1e-12)
+        assert_allclose(lo, max(0.0, np.expm1(center - half)), rtol=1e-12)
+        assert_allclose(hi, max(0.0, np.expm1(center + half)), rtol=1e-12)
+        assert lo >= 0.0 and hi >= lo
+
+    def test_interval_lower_clamped_at_zero(self):
+        h = make_hyperparameters()
+        rng = np.random.default_rng(71)
+        X = np.array([rng.normal(size=3) for _ in range(5)])
+        dist = predict(fit(np.arange(1, 6), X, rng.normal(size=5), h), 40, np.zeros(3))
+        _, _, lo, _ = to_natural(dist.mean - 5.0, dist.variance)
+        assert lo == 0.0
+
+    @pytest.mark.parametrize("log_pred, variance", [(1e6, None), (709.0, 1.0)])
+    def test_any_overflowing_number_raises(self, log_pred, variance):
+        # expm1(709) is finite, its upper bound expm1(709 + 1.96) is not
+        with pytest.raises(ModelFitError, match="overflows"):
+            to_natural(log_pred, variance)
 
 
 class TestConfigValidation:
@@ -419,6 +450,17 @@ class TestBacktestProtocol:
         assert report.n_failed >= 1
         for row in report.rows:
             assert row.predicted_dir is None or np.isfinite(row.predicted_dir)
+
+    def test_gp_overflow_becomes_gap(self, monkeypatch):
+        city = synthetic_city(SynthSpec(weeks=110, seed=19))
+        monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
+        monkeypatch.setattr(evaluation, "predict",
+                            lambda model, week, x: PredictiveDistribution(1e6, 0.01))
+        report = run_backtest(city, "gp",
+                              protocol=ProtocolConfig(first_target=105, last_target=106))
+        assert all(r.predicted_dir is None and r.sd is None and r.upper95 is None
+                   for r in report.rows)
+        assert report.n_failed == 2
 
     def test_series_must_cover_the_window(self):
         city = synthetic_city(SynthSpec(weeks=110, seed=17))

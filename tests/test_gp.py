@@ -10,7 +10,6 @@ from denguegp.gp import (ModelFitError, _chol_with_jitter, fit, lml_value_and_gr
                          log_marginal_likelihood, predict)
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays, gram_gradients)
-from denguegp.preprocess import TransformState
 
 from test_kernels import (make_hyperparameters, random_design,
                           random_hyperparameters, random_input)
@@ -166,28 +165,6 @@ class TestPredict:
             small = predict(fit(weeks[:3], X[:3], y[:3], h), *q).variance
             full = predict(fit(weeks, X, y, h), *q).variance
             assert full <= small + 1e-10
-
-    def test_natural_scale_back_transform(self):
-        h = unit_diagonal_hyperparameters(noise=0.5)
-        state = TransformState(3.0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
-        model = fit([2], np.zeros((1, 3)), [0.5], h, transform=state)
-        dist = predict(model, 2, np.zeros(3))
-        center = dist.mean + 3.0
-        half = 1.96 * np.sqrt(dist.variance)
-        assert_allclose(dist.natural_mean, np.expm1(center), rtol=1e-12)
-        assert_allclose(dist.natural_lower, max(0.0, np.expm1(center - half)), rtol=1e-12)
-        assert_allclose(dist.natural_upper, max(0.0, np.expm1(center + half)), rtol=1e-12)
-        lo, hi = dist.natural_interval
-        assert lo >= 0.0 and hi >= lo
-
-    def test_interval_lower_clamped_at_zero(self):
-        h = make_hyperparameters()
-        state = TransformState(-5.0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
-        rng = np.random.default_rng(71)
-        X = np.array([rng.normal(size=3) for _ in range(5)])
-        model = fit(np.arange(1, 6), X, rng.normal(size=5), h, transform=state)
-        dist = predict(model, 40, np.zeros(3))
-        assert dist.natural_lower == 0.0
 
     def test_query_must_be_a_finite_row_of_3(self):
         model = fit(*ONE_WEEK, [1.0], make_hyperparameters())
