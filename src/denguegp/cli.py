@@ -6,6 +6,15 @@ defaults, a key=value config file (--config), environment variables
 prefixed DENGUEGP_, then command-line flags.  All randomness flows from
 the single resolved seed.  Exit codes are stable: 0 success, 2 input
 validation, 3 model fitting, 4 I/O.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set.  The matrices here are
+small (n ~ 100), so a second BLAS thread mostly spins, and --jobs
+workers would oversubscribe the cores.  GP outputs depend on the thread
+count in their last digits, so one setting also gives one set of bytes.
+The variable is read when numpy and scipy load their OpenBLAS, so it
+must be set before the first import below that loads numpy; it has no
+effect in a process that loaded numpy already.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .data import DataValidationError, _format_number, load_dataset
 from .evaluation import (_METRICS, MIN_VIEW_WEEKS, MODELS, CityData, ForecastRow,

@@ -466,3 +466,42 @@ def test_cli_import_leaves_optimizer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def thread_free_env(**settings):
+    """This environment with no BLAS thread variable but the given ones."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denguegp.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return dict(env, PYTHONPATH=src, **settings)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}])
+def test_cli_import_sets_one_blas_thread_unless_the_user_did(settings):
+    code = ("import json, os, denguegp.cli; "
+            f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARIABLES!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=thread_free_env(**settings),
+                         check=True, capture_output=True, text=True, timeout=60)
+    expected = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    expected.update(settings or {"OPENBLAS_NUM_THREADS": "1"})
+    assert json.loads(out.stdout) == expected
+
+
+def test_default_thread_setting_gives_identical_bytes_under_jobs(sim_dir, tmp_path):
+    # the GP's last digits depend on the BLAS thread count, so this holds
+    # only because every process of a run uses the same count
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        subprocess.run([sys.executable, "-m", "denguegp.cli", "backtest",
+                        "--data-dir", sim_dir, "--out-dir", out, "--model", "all",
+                        "--first-target", "120", "--last-target", "130",
+                        "--restarts", "1", "--seed", "0", "--jobs", jobs],
+                       env=thread_free_env(), check=True, capture_output=True, timeout=300)
+        outputs[jobs] = {n: read_bytes(os.path.join(out, n)) for n in sorted(os.listdir(out))
+                         if n.startswith("forecast_") or n == "summary.json"}
+    assert len(outputs["1"]) == 7
+    assert outputs["2"] == outputs["1"]
