@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .kernels import (
     COVARIATE_DIM,
@@ -50,7 +51,8 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
     Jitter starts at 1e-8 * mean(diag) and grows tenfold up to
-    1e-4 * mean(diag) before giving up.
+    1e-4 * mean(diag) before giving up.  The factor's upper triangle
+    is zero.
     """
     scale = float(np.mean(np.diag(K)))
     jitter = 0.0
@@ -176,6 +178,21 @@ def _lml_from_factors(targets, L, alpha) -> float:
                  - 0.5 * n * LOG_2PI)
 
 
+def _inverse_from_chol(L: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 from a lower Cholesky factor whose upper triangle is zero.
+
+    LAPACK dpotri writes the inverse into the lower triangle only; the
+    upper one is filled by adding the transpose and restoring the
+    diagonal, which leaves the result exactly symmetric.
+    """
+    lower, info = dpotri(L, lower=1)
+    if info != 0:
+        raise ModelFitError(f"inverse from the Cholesky factor failed (dpotri info {info})")
+    inverse = lower + lower.T
+    np.fill_diagonal(inverse, np.diagonal(lower))
+    return inverse
+
+
 def lml_value_and_gradient(weeks, X, targets,
                            h: KernelHyperparameters) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient w.r.t. all log-hyperparameters.
@@ -183,7 +200,8 @@ def lml_value_and_gradient(weeks, X, targets,
     Gradient entries follow kernels.PARAM_NAMES: 1/2 tr(W dK/dtheta) with
     W = alpha alpha^T - (K + sigma^2 I)^-1 (GPML eq. 5.9), which
     kernels.gram_gradients sums by lag.  The time kernel is evaluated
-    once and shared by the Gram matrix and its gradients.  The design is
+    once and shared by the Gram matrix and its gradients, and the
+    inverse comes from the Cholesky factor by dpotri.  The design is
     not validated here: this runs once per optimizer evaluation, and
     optimize validates it once up front.
     """
@@ -194,6 +212,6 @@ def lml_value_and_gradient(weeks, X, targets,
     alpha = cho_solve((L, True), targets)
     value = _lml_from_factors(targets, L, alpha)
 
-    K_inv = cho_solve((L, True), np.eye(targets.size))
-    W = np.outer(alpha, alpha) - K_inv
+    W = np.outer(alpha, alpha)
+    W -= _inverse_from_chol(L)
     return value, 0.5 * gram_gradients(weeks, X, h, W, by_lag=by_lag)

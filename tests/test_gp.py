@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from denguegp.gp import (ModelFitError, _chol_with_jitter, fit, lml_value_and_gradient,
-                         log_marginal_likelihood, predict)
+import denguegp.gp
+from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_from_chol, fit,
+                         lml_value_and_gradient, log_marginal_likelihood, predict)
+from denguegp.hyperopt import _FAILURE_VALUE, OptimizerConfig, optimize
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays, gram_gradients)
 
@@ -250,6 +252,14 @@ class TestLmlGradient:
             assert error <= tol * np.max(np.abs(expected))
         assert jittered == 1
 
+    def test_inverse_is_exactly_symmetric(self):
+        rng = np.random.default_rng(109)
+        weeks, X, _, h = random_instance(rng, 30)
+        K = gram_from_arrays(weeks, X, h, include_noise=True)
+        K_inv = _inverse_from_chol(_chol_with_jitter(K)[0])
+        assert np.array_equal(K_inv, K_inv.T)
+        assert_allclose(K_inv, np.linalg.inv(K), rtol=1e-9, atol=1e-12 * np.abs(K_inv).max())
+
     def test_value_and_gradient_agree_with_separate_calls(self):
         rng = np.random.default_rng(89)
         weeks, X, y, h = random_instance(rng, 7)
@@ -302,6 +312,28 @@ class TestFailureModes:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ModelFitError):
             _chol_with_jitter(bad)
+
+    def test_failed_inverse_is_a_failed_evaluation(self, monkeypatch):
+        # dpotri reports a zero pivot through info; the call must raise, and
+        # optimize must score that evaluation as _FAILURE_VALUE, not crash
+        dpotri = denguegp.gp.dpotri
+        calls = []
+
+        def failing_first_call(L, lower):
+            calls.append(None)
+            inverse, info = dpotri(L, lower=lower)
+            return inverse, 1 if len(calls) == 1 else info
+
+        monkeypatch.setattr(denguegp.gp, "dpotri", failing_first_call)
+        rng = np.random.default_rng(127)
+        weeks, X, y, h = random_instance(rng, 30)
+        with pytest.raises(ModelFitError, match="dpotri info 1"):
+            lml_value_and_gradient(weeks, X, y, h)
+        calls.clear()
+        _, _, diag = optimize(weeks, X, y, OptimizerConfig(restarts=2, max_iterations=20))
+        first, second = diag["restarts"]
+        assert first["initial_lml"] == -_FAILURE_VALUE and first["failed"]
+        assert not second["failed"] and diag["selected_restart"] == 1
 
     def test_zero_jitter_is_plain_cholesky(self):
         rng = np.random.default_rng(113)
