@@ -170,19 +170,25 @@ def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> floa
 def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
     """d k_time / d log theta at week distances dt, one row per
     PARAM_NAMES[:6].  Rows 0 and 2 (the variances) are k_loc and
-    k_qp * k_per, so they add up to the time kernel itself."""
+    k_qp * k_per, so they add up to the time kernel itself.
+
+    Computes matern52 and periodic inline, each exp and sin once, in the
+    same factor order; h is a validated KernelHyperparameters, so their
+    positivity checks would repeat its own."""
     dt = np.asarray(dt, dtype=float)
-    k_per = periodic(dt, h.period, h.ell_per)
-    k_qp = matern52(dt, h.sigma_qp_sq, h.ell_qp) * k_per
-    # d matern52 / d log(l) = variance * exp(-a) a^2 (1 + a) / 3, a = sqrt(5) dt / l
     a_loc, a_qp = SQRT5 * dt / h.ell_loc, SQRT5 * dt / h.ell_qp
+    e_loc, e_qp = np.exp(-a_loc), np.exp(-a_qp)
     u = np.pi * dt / h.period
+    s = np.sin(u)
+    k_per = np.exp(-2.0 * s * s / (h.ell_per * h.ell_per))
+    k_qp = h.sigma_qp_sq * (1.0 + a_qp + a_qp * a_qp / 3.0) * e_qp * k_per
+    # d matern52 / d log(l) = variance * exp(-a) a^2 (1 + a) / 3, a = sqrt(5) dt / l
     return np.stack([
-        matern52(dt, h.sigma_loc_sq, h.ell_loc),
-        h.sigma_loc_sq * np.exp(-a_loc) * a_loc * a_loc * (1.0 + a_loc) / 3.0,
+        h.sigma_loc_sq * (1.0 + a_loc + a_loc * a_loc / 3.0) * e_loc,
+        h.sigma_loc_sq * e_loc * a_loc * a_loc * (1.0 + a_loc) / 3.0,
         k_qp,
-        h.sigma_qp_sq * np.exp(-a_qp) * a_qp * a_qp * (1.0 + a_qp) / 3.0 * k_per,
-        k_qp * 4.0 * np.sin(u) ** 2 / (h.ell_per**2),
+        h.sigma_qp_sq * e_qp * a_qp * a_qp * (1.0 + a_qp) / 3.0 * k_per,
+        k_qp * 4.0 * s**2 / (h.ell_per**2),
         k_qp * 2.0 * u * np.sin(2.0 * u) / (h.ell_per**2),
     ])
 
