@@ -12,6 +12,8 @@ a covariate matters.
 Run with:  python3 demos/01_kernel_anatomy.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from denguegp.kernels import (
@@ -54,7 +56,7 @@ def main():
     x_base = np.array([1.0, 1.0, 1.0])
     same = linear_ard(x_base, x_base, h.sigma_lin_sq, h.ard_lengthscales)
     print(f"  identical covariates, default lengthscales : {same:.6f}")
-    tight = h.replace(ell_rain=1.0)
+    tight = dataclasses.replace(h, ell_rain=1.0)
     same_tight = linear_ard(x_base, x_base, tight.sigma_lin_sq, tight.ard_lengthscales)
     print(f"  same, but ell_rain shrunk to 1             : {same_tight:.6f}")
     opposite = linear_ard(x_base, -x_base, tight.sigma_lin_sq, tight.ard_lengthscales)

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
@@ -44,47 +44,32 @@ ENV_PREFIX = "DENGUEGP_"
 FORECAST_HEADER = ("target_week", "actual_dir", "predicted_dir",
                    "sd", "lower95", "upper95", "model")
 
-_DEFAULTS = {
-    "data_dir": ".",
-    "out_dir": "out",
-    "model": "gp",
-    "seed": 0,
-    "jobs": 1,
-    "horizon": ProtocolConfig.horizon,
-    "first_target": ProtocolConfig.first_target,
-    "last_target": ProtocolConfig.last_target,
-    "refit_every": ProtocolConfig.refit_every,
-    "restarts": OptimizerConfig.restarts,
-    "min_population": 0,
-    "city": None,
-    "n_cities": 3,
-    "weeks": 209,
-    "variation": "default",
-}
-
-_INT_KEYS = tuple(k for k, v in _DEFAULTS.items() if isinstance(v, int))
-
 _MODEL_CHOICES = MODELS + ("all",)
 _VARIATION_CHOICES = ("default", "low", "periodic", "mixed")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    data_dir: str
-    out_dir: str
-    model: str
-    seed: int
-    jobs: int
-    horizon: int
-    first_target: int
-    last_target: int | None
-    refit_every: int
-    restarts: int
-    min_population: int
-    city: str | None
-    n_cities: int
-    weeks: int
-    variation: str
+    data_dir: str = "."
+    out_dir: str = "out"
+    model: str = "gp"
+    seed: int = 0
+    jobs: int = 1
+    horizon: int = ProtocolConfig.horizon
+    first_target: int = ProtocolConfig.first_target
+    last_target: int | None = ProtocolConfig.last_target
+    refit_every: int = ProtocolConfig.refit_every
+    restarts: int = OptimizerConfig.restarts
+    min_population: int = 0
+    city: str | None = None
+    n_cities: int = 3
+    weeks: int = 209
+    variation: str = "default"
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+_INT_KEYS = tuple(k for k, v in _DEFAULTS.items() if isinstance(v, int))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -288,17 +273,10 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def _city_worker(task):
-    """Run every requested model for one city; exceptions become data.
-
-    The models share the city's per-origin preprocessing.  The worker
-    runs on a copy of the city, so that cache is freed when it returns.
-    """
+    """Run every requested model for one city; exceptions become data."""
     city, models, protocol, optimizer_config = task
-    city = replace(city)
     try:
-        reports = [run_backtest(city, m, protocol, optimizer_config if m == "gp" else None)
-                   for m in models]
-        return city.city_id, reports, None
+        return city.city_id, run_backtest(city, models, protocol, optimizer_config), None
     except Exception as e:  # per-city isolation: one bad city cannot sink the run
         return city.city_id, [], f"{type(e).__name__}: {e}"
 

@@ -13,7 +13,7 @@ preprocesses each origin once, not once per model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,12 +63,6 @@ class ProtocolConfig:
             raise ValueError("refit_every must be >= 1")
         if self.last_target is not None and self.last_target < self.first_target:
             raise ValueError("last_target must be >= first_target")
-
-
-def _read_only_copy(values) -> np.ndarray:
-    copy = np.array(values, dtype=float)
-    copy.flags.writeable = False
-    return copy
 
 
 @dataclass(frozen=True)
@@ -124,33 +118,10 @@ class TrainingView:
         """Outlier-cleaned log1p series plus the flagged weeks.
 
         Computed on first use and kept, so the AR baseline and
-        build_design share one outlier screen; the array is read-only.
+        build_design share one outlier screen.
         """
         cleaned, flagged = remove_additive_outliers(self.dir_values)
-        log_values = log_transform(cleaned)
-        log_values.flags.writeable = False
-        return log_values, tuple(self.start_week + i for i in flagged)
-
-    @cached_property
-    def _design_or_error(self):
-        try:
-            design = build_design(self)
-        except ValueError as e:
-            return e
-        for array in design[:3]:
-            array.flags.writeable = False
-        return design
-
-    @property
-    def design(self) -> tuple:
-        """build_design(self), computed on first use and kept with its
-        (weeks, X, y) arrays read-only.  A view that cannot be
-        preprocessed raises build_design's ValueError on every access,
-        so a failure is not retried either."""
-        design = self._design_or_error
-        if isinstance(design, ValueError):
-            raise design.with_traceback(None)
-        return design
+        return log_transform(cleaned), tuple(self.start_week + i for i in flagged)
 
     def covariate_at(self, week: int) -> np.ndarray:
         if not self.start_week <= week <= self.end_week:
@@ -163,10 +134,8 @@ class CityData:
     """One city's full incidence and climate history.
 
     training_view(end_week) is the only sanctioned path into the data
-    while producing forecasts; actual_dir(week) exists for scoring.
-    shared_view(end_week) memoizes one view per end week, with its
-    preprocessing, for the models of a backtest to share.  The city
-    keeps read-only copies of its arrays, so that cache cannot go stale.
+    while producing forecasts: it hands out a private copy of the weeks
+    through end_week.  actual_dir(week) exists for scoring.
     """
 
     city_id: str
@@ -174,15 +143,10 @@ class CityData:
     population: int
     dir_series: WeeklySeries
     covariates: np.ndarray
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.covariates.shape != (self.dir_series.n_weeks, 3):
             raise ValueError("covariates must align with the incidence series")
-        s = self.dir_series
-        object.__setattr__(self, "dir_series",
-                           WeeklySeries(s.city_id, s.start_week, _read_only_copy(s.values)))
-        object.__setattr__(self, "covariates", _read_only_copy(self.covariates))
 
     @classmethod
     def from_dataset(cls, ds: Dataset, city_id: str) -> "CityData":
@@ -204,17 +168,6 @@ class CityData:
         n = end_week - s.start_week + 1
         return TrainingView(self.city_id, s.start_week,
                             s.values[:n].copy(), self.covariates[:n].copy())
-
-    def shared_view(self, end_week: int) -> TrainingView:
-        """The training view ending at end_week, made once per end week
-        and shared by every later caller together with its preprocessing;
-        its arrays are read-only (training_view gives a private copy)."""
-        view = self._views.get(end_week)
-        if view is None:
-            view = self._views[end_week] = self.training_view(end_week)
-            view.dir_values.flags.writeable = False
-            view.covariates.flags.writeable = False
-        return view
 
     def actual_dir(self, week: int) -> float:
         return self.dir_series.value_at(week)
@@ -291,21 +244,25 @@ def to_natural(log_pred: float, variance: float | None = None) -> tuple:
     return out
 
 
-def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = None,
-                 optimizer_config: OptimizerConfig | None = None) -> BacktestReport:
-    """Forecast every target week with the chosen model and score it.
+def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
+                 optimizer_config: OptimizerConfig | None = None) -> list[BacktestReport]:
+    """Forecast every target week with each requested model and score it.
 
-    Each target t is predicted from the city's shared training view
-    ending at t - horizon, preprocessed inside that view once for all
-    models run on the city.  A ValueError or
-    ModelFitError at one origin leaves a gap in that week's row (and the
-    failure count) instead of aborting the city; metrics use the
-    available rows.  The GP re-optimizes its hyperparameters at every
-    refit_every-th target and whenever it has none yet; a failed refit
-    keeps the previous hyperparameters, and an origin with none is a gap.
+    Returns one BacktestReport per model, in the order given.  Each
+    target t is predicted from one training view ending at t - horizon,
+    preprocessed once for all the models: AR forecasts from the view's
+    outlier-screened log series, and gp and lm from one design built on
+    it.  A ValueError or ModelFitError at one origin leaves a gap in
+    that model's row (and its failure count) instead of aborting the
+    city; a design that cannot be built is a gap for gp and lm.  Metrics
+    use the available rows.  The GP re-optimizes its hyperparameters at
+    every refit_every-th target and whenever it has none yet; a failed
+    refit keeps the previous hyperparameters, and an origin with none is
+    a gap.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {', '.join(MODELS)}")
+    for m in models:
+        if m not in MODELS:
+            raise ValueError(f"model must be one of {', '.join(MODELS)}")
     protocol = protocol or ProtocolConfig()
     optimizer_config = optimizer_config or OptimizerConfig()
 
@@ -315,19 +272,28 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
         raise ValueError(
             f"series must cover weeks 1..{last}, has {series.start_week}..{series.end_week}")
 
+    needs_design = "gp" in models or "lm" in models
     h = None
-    rows = []
+    rows = {m: [] for m in models}
     for t in range(protocol.first_target, last + 1):
-        view = city.shared_view(t - protocol.horizon)
-        forecast = (None, None, None, None)
-        try:
-            if model == "ar":
-                log_values, _ = view.log_series
-                forecast = to_natural(ar_forecast4(ar_fit(log_values), log_values[-1]))
-            else:
-                weeks, X, y, state = view.design
+        view = city.training_view(t - protocol.horizon)
+        actual = city.actual_dir(t)
+        x_query = None
+        if needs_design:
+            try:
+                weeks, X, y, state = build_design(view)
                 x_query = query_row(view, state, t)
-                if model == "lm":
+            except ValueError:
+                pass
+        for m in models:
+            forecast = (None, None, None, None)
+            try:
+                if m == "ar":
+                    log_values, _ = view.log_series
+                    forecast = to_natural(ar_forecast4(ar_fit(log_values), log_values[-1]))
+                elif x_query is None:
+                    pass  # no design at this origin: a gap for gp and lm
+                elif m == "lm":
                     forecast = to_natural(lm_predict(lm_fit(X, y), x_query)
                                           + state.response_mean)
                 else:
@@ -340,10 +306,13 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
                         dist = predict(fit(weeks, X, y, h), t, x_query)
                         forecast = to_natural(dist.mean + state.response_mean,
                                               dist.variance)
-        except (ValueError, ModelFitError):
-            pass
-        rows.append(ForecastRow(t, city.actual_dir(t), *forecast))
+            except (ValueError, ModelFitError):
+                pass
+            rows[m].append(ForecastRow(t, actual, *forecast))
+    return [_score(city.city_id, m, rows[m]) for m in models]
 
+
+def _score(city_id: str, model: str, rows: list) -> BacktestReport:
     # with no scored rows pearson raises and band_auc gives None
     scored = [r for r in rows if r.predicted_dir is not None]
     actuals = np.array([r.actual_dir for r in scored])
@@ -359,7 +328,7 @@ def run_backtest(city: CityData, model: str, protocol: ProtocolConfig | None = N
                 if np.any(all_actuals >= threshold) and np.any(all_actuals < threshold)]
 
     return BacktestReport(
-        city_id=city.city_id,
+        city_id=city_id,
         model=model,
         rows=tuple(rows),
         pearson=corr,

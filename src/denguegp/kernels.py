@@ -102,11 +102,6 @@ class KernelHyperparameters:
             raise ValueError(f"expected {len(PARAM_NAMES)} log-parameters")
         return cls(**dict(zip(PARAM_NAMES, np.exp(log_theta))))
 
-    def replace(self, **updates) -> "KernelHyperparameters":
-        vals = {n: getattr(self, n) for n in PARAM_NAMES}
-        vals.update(updates)
-        return KernelHyperparameters(**vals)
-
     def to_dict(self) -> dict:
         return {n: float(getattr(self, n)) for n in PARAM_NAMES}
 

@@ -188,7 +188,7 @@ class TestAcceptance:
         city = ViewAudit(city_id="audit", region="South", population=100000,
                          dir_series=draw.dir_series,
                          covariates=draw.raw_covariates)
-        report = run_backtest(city, "ar")
+        report, = run_backtest(city, ("ar",))
 
         n_rows = len(report.rows)
         first = report.rows[0].target_week
@@ -286,10 +286,8 @@ class TestAcceptance:
         lines = []
         for idx, cid in enumerate(sorted(ds.cities)):
             city = CityData.from_dataset(ds, cid)
-            gp = run_backtest(city, "gp",
-                              optimizer_config=OptimizerConfig(restarts=3, seed=idx))
-            ar = run_backtest(city, "ar")
-            lm = run_backtest(city, "lm")
+            gp, ar, lm = run_backtest(city, ("gp", "ar", "lm"),
+                                      optimizer_config=OptimizerConfig(restarts=3, seed=idx))
             beats_ar += gp.pearson > ar.pearson
             beats_lm += gp.pearson > lm.pearson
             lines.append(f"{cid}: gp {gp.pearson:.2f} ar {ar.pearson:.2f} "

@@ -289,6 +289,34 @@ class TestBacktestCommand:
                 weeks, _, _, _ = build_design(city.training_view(t - 4))
                 assert weeks.size < MIN_TRAINING_POINTS
 
+    def test_failing_city_is_isolated(self, sim_dir, tmp_path, monkeypatch):
+        real = denguegp.cli.run_backtest
+
+        def fail_c001(city, *args):
+            if city.city_id == "C001":
+                raise RuntimeError("injected")
+            return real(city, *args)
+
+        monkeypatch.setattr(denguegp.cli, "run_backtest", fail_c001)
+        out = str(tmp_path / "o")
+        assert main(["backtest", "--data-dir", sim_dir, "--out-dir", out, "--model", "ar",
+                     "--jobs", "1", "--first-target", "120", "--last-target", "125"]) == 0
+        assert read_json(os.path.join(out, "summary.json"))["failures"]["C001"].startswith(
+            "RuntimeError: ")
+        names = os.listdir(out)
+        assert not any(n.startswith("forecast_C001_") for n in names)
+        assert "forecast_C002_ar.csv" in names
+
+    def test_every_city_failing_exits_3(self, sim_dir, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(denguegp.cli, "run_backtest", fail)
+        assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "o"),
+                     "--model", "ar", "--jobs", "1", "--first-target", "120",
+                     "--last-target", "125"]) == 3
+        assert "backtest failed for every city" in capsys.readouterr().err
+
     def test_min_population_filter_can_exclude_everything(self, sim_dir, tmp_path, capsys):
         assert main(["backtest", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x"),

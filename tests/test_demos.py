@@ -1,4 +1,4 @@
-"""The two fast demos and the README's Python examples run end to end
+"""The four demos and the README's Python examples run end to end
 against the current API."""
 
 import os
@@ -16,6 +16,8 @@ DEMOS = os.path.join(ROOT, "demos")
 EXPECTED = {
     "01_kernel_anatomy.py": "composite_kernel(week 10, week 62) = ",
     "02_fit_and_forecast.py": "Four-week-ahead forecasts (DIR per 100k):",
+    "03_backtest_protocol.py": "The AR(1) baseline only extrapolates the last 12 weeks",
+    "04_hyperparameter_recovery.py": "Control: optimizing the same values in shuffled",
 }
 
 
@@ -38,4 +40,4 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
-    assert namespace["report"].n_failed == 0
+    assert namespace["gp"].n_failed == 0

@@ -217,16 +217,6 @@ class TestTrainingView:
         view.covariates[:] = -1.0
         assert np.array_equal(city.dir_series.values, before)
 
-    def test_shared_preprocessing_is_read_only(self):
-        # a city's arrays cannot change under the views and designs it caches
-        city = synthetic_city(SynthSpec(weeks=160, seed=5))
-        view = city.shared_view(150)
-        weeks, X, y, _ = view.design
-        for array in (city.dir_series.values, city.covariates, view.dir_values,
-                      view.covariates, view.log_series[0], weeks, X, y):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-
     def test_view_window(self):
         city = synthetic_city(SynthSpec(weeks=120, seed=6))
         view = city.training_view(80)
@@ -321,7 +311,7 @@ def count_calls(monkeypatch, name):
 class TestBacktestProtocol:
     def test_full_series_has_one_row_per_target(self):
         city = synthetic_city(SynthSpec(weeks=209, seed=12))
-        report = run_backtest(city, "ar")
+        report, = run_backtest(city, ("ar",))
         assert len(report.rows) == 105
         assert report.rows[0].target_week == 105
         assert report.rows[-1].target_week == 209
@@ -332,7 +322,7 @@ class TestBacktestProtocol:
         stub = StubOptimizer()
         monkeypatch.setattr(evaluation, "optimize", stub)
         protocol = ProtocolConfig(first_target=105, last_target=120, refit_every=5)
-        report = run_backtest(city, "gp", protocol=protocol)
+        report, = run_backtest(city, ("gp",), protocol=protocol)
         # 16 targets, re-optimization at t = 105, 110, 115, 120
         assert stub.calls == 4
         assert report.n_failed == 0
@@ -341,8 +331,8 @@ class TestBacktestProtocol:
         city = synthetic_city(SynthSpec(weeks=130, seed=13))
         stub = StubOptimizer()
         monkeypatch.setattr(evaluation, "optimize", stub)
-        report = run_backtest(city, "gp",
-                              protocol=ProtocolConfig(last_target=120, refit_every=52))
+        report, = run_backtest(city, ("gp",),
+                               protocol=ProtocolConfig(last_target=120, refit_every=52))
         assert stub.calls == 1
         assert report.n_failed == 0
 
@@ -351,7 +341,7 @@ class TestBacktestProtocol:
         stub = StubOptimizer(fail_from=2)
         monkeypatch.setattr(evaluation, "optimize", stub)
         protocol = ProtocolConfig(first_target=105, last_target=120, refit_every=5)
-        report = run_backtest(city, "gp", protocol=protocol)
+        report, = run_backtest(city, ("gp",), protocol=protocol)
         assert stub.calls == 4
         assert report.n_failed == 0  # later refits fail but the old h still works
 
@@ -365,9 +355,8 @@ class TestBacktestProtocol:
         n_hidden = city.dir_series.n_weeks - n_seen
 
         def forecasts(c):
-            rows = {m: run_backtest(c, m, protocol,
-                                    optimizer_config if m == "gp" else None).rows[0]
-                    for m in MODELS}
+            rows = {r.model: r.rows[0] for r in run_backtest(c, MODELS, protocol,
+                                                             optimizer_config)}
             return {m: (r.predicted_dir, r.sd, r.lower95, r.upper95) for m, r in rows.items()}
 
         base = forecasts(city)
@@ -391,8 +380,8 @@ class TestBacktestProtocol:
         values = city.dir_series.values.copy()
         values[89:101] = 0.0  # constant 12-week window for target 105
         flat = make_city(values, city.covariates)
-        report = run_backtest(flat, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=106))
+        report, = run_backtest(flat, ("ar",),
+                               protocol=ProtocolConfig(first_target=105, last_target=106))
         assert report.rows[0].predicted_dir is None
         assert report.n_failed >= 1
         assert len(report.rows) == 2
@@ -407,17 +396,16 @@ class TestBacktestProtocol:
         monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
         designs = count_calls(monkeypatch, "build_design")
         protocol = ProtocolConfig(first_target=145, last_target=156)
-        gp, lm, ar = (run_backtest(flat, m, protocol=protocol) for m in ("gp", "lm", "ar"))
+        gp, lm, ar = run_backtest(flat, ("gp", "lm", "ar"), protocol=protocol)
         gaps = [r.target_week for r in gp.rows if r.predicted_dir is None]
         assert 0 < gp.n_failed < len(gp.rows)
         assert gaps == [r.target_week for r in lm.rows if r.predicted_dir is None]
-        # the failed design is remembered, not rebuilt for lm, and ar needs none
+        # one design attempt per origin serves gp and lm, and ar needs none
         assert len(designs) == len(gp.rows)
         assert all(r.predicted_dir is not None for r in ar.rows if r.target_week in gaps)
-        # the remembered failure keeps its reason
+        # the gap comes from the design failure named here
         with pytest.raises(ValueError, match="lag selection for humidity_pct"):
-            flat.shared_view(gaps[0] - protocol.horizon).design
-        assert len(designs) == len(gp.rows)
+            build_design(flat.training_view(gaps[0] - protocol.horizon))
 
     def test_models_share_one_preprocessing_per_origin(self, monkeypatch):
         city = synthetic_city(SynthSpec(weeks=130, seed=13))
@@ -425,14 +413,17 @@ class TestBacktestProtocol:
         screens = count_calls(monkeypatch, "remove_additive_outliers")
         designs = count_calls(monkeypatch, "build_design")
         protocol = ProtocolConfig(first_target=105, last_target=116)
-        reports = [run_backtest(city, m, protocol=protocol) for m in MODELS]
+        reports = run_backtest(city, MODELS, protocol=protocol)
         n_targets = len(reports[0].rows)
         assert all(r.n_failed == 0 for r in reports)
-        assert len(screens) == n_targets
-        assert len(designs) <= n_targets
+        assert len(screens) == len(designs) == n_targets
+        # the AR baseline alone needs the outlier screen, not a design
+        designs.clear()
+        run_backtest(city, ("ar",), protocol=protocol)
+        assert len(designs) == 0
         # sharing moves no number: each model alone on its own copy agrees
-        alone = [run_backtest(make_city(city.dir_series.values, city.covariates), m,
-                              protocol=protocol) for m in MODELS]
+        alone = [run_backtest(make_city(city.dir_series.values, city.covariates), (m,),
+                              protocol=protocol)[0] for m in MODELS]
         assert [r.rows for r in alone] == [r.rows for r in reports]
 
     def test_ar_overflow_becomes_gap(self):
@@ -444,8 +435,8 @@ class TestBacktestProtocol:
         z = np.random.default_rng(0).uniform(0.0, 10.0, size=110)
         z[89:101] = [0.0] * 10 + [1.0, 10.0]
         explosive = make_city(np.expm1(z))
-        report = run_backtest(explosive, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=106))
+        report, = run_backtest(explosive, ("ar",),
+                               protocol=ProtocolConfig(first_target=105, last_target=106))
         assert report.rows[0].predicted_dir is None
         assert report.n_failed >= 1
         for row in report.rows:
@@ -456,8 +447,8 @@ class TestBacktestProtocol:
         monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
         monkeypatch.setattr(evaluation, "predict",
                             lambda model, week, x: PredictiveDistribution(1e6, 0.01))
-        report = run_backtest(city, "gp",
-                              protocol=ProtocolConfig(first_target=105, last_target=106))
+        report, = run_backtest(city, ("gp",),
+                               protocol=ProtocolConfig(first_target=105, last_target=106))
         assert all(r.predicted_dir is None and r.sd is None and r.upper95 is None
                    for r in report.rows)
         assert report.n_failed == 2
@@ -465,31 +456,33 @@ class TestBacktestProtocol:
     def test_series_must_cover_the_window(self):
         city = synthetic_city(SynthSpec(weeks=110, seed=17))
         with pytest.raises(ValueError, match="must cover"):
-            run_backtest(city, "ar", protocol=ProtocolConfig(last_target=150))
+            run_backtest(city, ("ar",), protocol=ProtocolConfig(last_target=150))
 
     def test_unknown_model_rejected(self):
         city = synthetic_city(SynthSpec(weeks=110, seed=18))
         with pytest.raises(ValueError, match="model"):
-            run_backtest(city, "glm")
+            run_backtest(city, ("glm",))
+        with pytest.raises(ValueError, match="model"):
+            run_backtest(city, "ar")  # a bare name is a string of letters, not models
 
     def test_band_eligibility_uses_all_actuals(self):
         quiet = make_city(np.linspace(1.0, 20.0, 110))
-        report = run_backtest(quiet, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=106))
+        report, = run_backtest(quiet, ("ar",),
+                               protocol=ProtocolConfig(first_target=105, last_target=106))
         assert report.band_eligibility == "none"
         assert report.auc_medium is None and report.auc_high is None
 
         spiky = make_city(np.concatenate([np.linspace(1.0, 20.0, 104),
                                           [30.0, 90.0, 10.0, 40.0, 80.0, 5.0]]))
-        report = run_backtest(spiky, "ar",
-                              protocol=ProtocolConfig(first_target=105, last_target=110))
+        report, = run_backtest(spiky, ("ar",),
+                               protocol=ProtocolConfig(first_target=105, last_target=110))
         assert report.band_eligibility == "medium+high"
 
     def test_gp_tracks_a_seasonal_city(self):
         spec = dataclasses.replace(strongly_periodic_spec(seed=3), weeks=209)
         city = synthetic_city(spec)
-        report = run_backtest(
-            city, "gp",
+        report, = run_backtest(
+            city, ("gp",),
             protocol=ProtocolConfig(first_target=105, last_target=125),
             optimizer_config=OptimizerConfig(restarts=2, max_iterations=80, seed=0))
         assert report.n_failed == 0

@@ -1,6 +1,8 @@
 """Exact GP regression: fitting, prediction, marginal likelihood and its
 gradient, each checked against brute-force dense linear algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -237,7 +239,7 @@ class TestLmlGradient:
         weeks, X = random_design(rng, 10, max_week=120)
         # every input twice, with equal targets so y lies in K's range
         cases.append((np.tile(weeks, 2), np.tile(X, (2, 1)), np.tile(rng.normal(size=10), 2),
-                      random_hyperparameters(rng).replace(sigma_noise_sq=0.0)))
+                      dataclasses.replace(random_hyperparameters(rng), sigma_noise_sq=0.0)))
         jittered = 0
         for weeks, X, y, h in cases:
             K = gram_from_arrays(weeks, X, h, include_noise=True)
@@ -278,12 +280,12 @@ class TestLmlGradient:
         idx = PARAM_NAMES.index("sigma_noise_sq")
 
         def negative_lml(log_noise):
-            h = base.replace(sigma_noise_sq=float(np.exp(log_noise)))
+            h = dataclasses.replace(base, sigma_noise_sq=float(np.exp(log_noise)))
             return -log_marginal_likelihood(weeks, X, y, h)
 
         res = minimize_scalar(negative_lml, bounds=(-6, 4), method="bounded",
                               options={"xatol": 1e-10})
-        h_star = base.replace(sigma_noise_sq=float(np.exp(res.x)))
+        h_star = dataclasses.replace(base, sigma_noise_sq=float(np.exp(res.x)))
         assert abs(lml_grad(weeks, X, y, h_star)[idx]) < 1e-5
 
     def test_scale_equivariance_of_variance_gradients(self):
@@ -295,8 +297,8 @@ class TestLmlGradient:
         weeks = np.sort(rng.choice(200, size=8, replace=False))
         X = np.zeros((8, 3))
         y = rng.normal(size=8)
-        scaled = h.replace(
-            sigma_loc_sq=2 * h.sigma_loc_sq, sigma_qp_sq=2 * h.sigma_qp_sq,
+        scaled = dataclasses.replace(
+            h, sigma_loc_sq=2 * h.sigma_loc_sq, sigma_qp_sq=2 * h.sigma_qp_sq,
             sigma_lin_sq=2 * h.sigma_lin_sq, sigma_noise_sq=2 * h.sigma_noise_sq)
         g = lml_grad(weeks, X, y, h)
         g2 = lml_grad(weeks, X, np.sqrt(2) * y, scaled)
