@@ -14,7 +14,9 @@ workers would oversubscribe the cores.  GP outputs depend on the thread
 count in their last digits, so one setting also gives one set of bytes.
 The variable is read when numpy and scipy load their OpenBLAS, so it
 must be set before the first import below that loads numpy; it has no
-effect in a process that loaded numpy already.
+effect in a process that loaded numpy already.  scipy loads later, on
+the first GP factorization (see gp), so commands that fit no GP never
+load it.
 """
 
 from __future__ import annotations

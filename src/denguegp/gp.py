@@ -1,8 +1,8 @@
 """Exact Gaussian-process regression on weekly incidence.
 
 Fitting factorizes K + sigma_noise^2 I once (Cholesky) and caches the
-weight vector alpha = (K + sigma_noise^2 I)^-1 y; prediction is then two
-triangular solves per query:
+weight vector alpha = (K + sigma_noise^2 I)^-1 y; prediction is then one
+triangular solve per query:
 
     mean     = k_*^T alpha
     variance = k(x_*, x_*) - || L^-1 k_* ||^2
@@ -12,15 +12,20 @@ standardized covariate rows and n targets; a query is one week plus its
 (3,) covariate row.  Targets are centered log-incidence, and everything
 here stays on that scale: evaluation.to_natural maps a prediction back
 to the incidence (DIR) scale.
+
+Factorizations and solves call LAPACK (dpotrf, dpotrs, dtrtrs, dpotri)
+from scipy.linalg.lapack, imported on first use so that a process that
+fits no GP never loads scipy.  They keep the checks of scipy's wrappers:
+a non-finite Gram matrix and every nonzero info raise, except that a
+failed dpotrf enters the jitter ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
 
 from .kernels import (
     COVARIATE_DIM,
@@ -47,29 +52,56 @@ class ModelFitError(RuntimeError):
     or its forecast overflows the float range."""
 
 
+@cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first factorization."""
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _check_info(routine: str, info: int) -> None:
+    """Raise on a nonzero LAPACK info: < 0 is an illegal argument, > 0 a
+    singular factor."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise ModelFitError(f"singular Cholesky factor ({routine} info {info})")
+
+
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter on failure.
+    """Lower Cholesky factor by dpotrf, escalating diagonal jitter on failure.
 
     Jitter starts at 1e-8 * mean(diag) and grows tenfold up to
-    1e-4 * mean(diag) before giving up.  The factor's upper triangle
-    is zero.
+    1e-4 * mean(diag) before giving up.  The factor is Fortran-ordered
+    and its upper triangle is zero.  A non-finite matrix raises
+    ValueError.
     """
     scale = float(np.mean(np.diag(K)))
     jitter = 0.0
     while True:
-        try:
-            jittered = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            return cholesky(jittered, lower=True), jitter
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                jitter = _JITTER_START * scale
-            elif jitter >= _JITTER_MAX * scale:
-                raise ModelFitError(
-                    "Cholesky factorization failed even with jitter "
-                    f"{jitter:.3e}; hyperparameters are ill-conditioned"
-                ) from None
-            else:
-                jitter *= 10.0
+        jittered = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
+        if not np.all(np.isfinite(jittered)):
+            raise ValueError("array must not contain infs or NaNs")
+        L, info = _lapack().dpotrf(jittered, lower=1, clean=1)
+        if info == 0:
+            return L, jitter
+        if info < 0:
+            _check_info("dpotrf", info)
+        if jitter == 0.0:
+            jitter = _JITTER_START * scale
+        elif jitter >= _JITTER_MAX * scale:
+            raise ModelFitError(
+                "Cholesky factorization failed even with jitter "
+                f"{jitter:.3e}; hyperparameters are ill-conditioned")
+        else:
+            jitter *= 10.0
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 b by dpotrs, for a lower factor from _chol_with_jitter."""
+    x, info = _lapack().dpotrs(L, b, lower=1)
+    _check_info("dpotrs", info)
+    return x
 
 
 @dataclass(frozen=True)
@@ -135,7 +167,7 @@ def fit(weeks, X, targets, h: KernelHyperparameters) -> TrainedGP:
     weeks, X, targets = validate_design(weeks, X, targets)
     K = gram_from_arrays(weeks, X, h, include_noise=True)
     L, jitter = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), targets)
+    alpha = _cho_solve(L, targets)
     return TrainedGP(weeks=weeks, covariates=X, targets=targets,
                      hyperparameters=h, chol=L, alpha=alpha, jitter=jitter)
 
@@ -152,7 +184,8 @@ def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
     if not np.all(np.isfinite(kstar)):
         raise ValueError("non-finite kernel evaluation at query")
     mean = float(kstar @ model.alpha)
-    v = solve_triangular(model.chol, kstar, lower=True)
+    v, info = _lapack().dtrtrs(model.chol, kstar, lower=1)
+    _check_info("dtrtrs", info)
     kss = float(kernel_vector([week], x[None, :], week, x, h)[0])
     variance = kss - float(v @ v)
     if variance < 0.0:
@@ -178,40 +211,35 @@ def _lml_from_factors(targets, L, alpha) -> float:
                  - 0.5 * n * LOG_2PI)
 
 
-def _inverse_from_chol(L: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 from a lower Cholesky factor whose upper triangle is zero.
-
-    LAPACK dpotri writes the inverse into the lower triangle only; the
-    upper one is filled by adding the transpose and restoring the
-    diagonal, which leaves the result exactly symmetric.
-    """
-    lower, info = dpotri(L, lower=1)
-    if info != 0:
-        raise ModelFitError(f"inverse from the Cholesky factor failed (dpotri info {info})")
-    inverse = lower + lower.T
-    np.fill_diagonal(inverse, np.diagonal(lower))
-    return inverse
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """Lower triangle of (L L^T)^-1 by dpotri, for a lower factor from
+    _chol_with_jitter; the upper triangle stays zero."""
+    lower, info = _lapack().dpotri(L, lower=1)
+    _check_info("dpotri", info)
+    return lower
 
 
-def lml_value_and_gradient(weeks, X, targets,
-                           h: KernelHyperparameters) -> tuple[float, np.ndarray]:
+def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
+                           *, lag=None) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient w.r.t. all log-hyperparameters.
 
     Gradient entries follow kernels.PARAM_NAMES: 1/2 tr(W dK/dtheta) with
     W = alpha alpha^T - (K + sigma^2 I)^-1 (GPML eq. 5.9), which
-    kernels.gram_gradients sums by lag.  The time kernel is evaluated
-    once and shared by the Gram matrix and its gradients, and the
-    inverse comes from the Cholesky factor by dpotri.  The design is
-    not validated here: this runs once per optimizer evaluation, and
-    optimize validates it once up front.
+    kernels.gram_gradients contracts without forming W, from alpha, the
+    lower triangle of the inverse (dpotri) and the inverse times
+    [X, 1] (one dpotrs, which also gives alpha).  The time kernel is
+    evaluated once and shared by the Gram matrix and its gradients.
+    lag is kernels.lag_table(weeks) when the caller has it already, as
+    optimize does once per design.  The design is not validated here:
+    this runs once per optimizer evaluation, and optimize validates it
+    once up front.
     """
     targets = np.asarray(targets, dtype=float)
-    by_lag = _by_lag(weeks, h)
+    by_lag = _by_lag(weeks, h, lag)
     K = gram_from_arrays(weeks, X, h, include_noise=True, by_lag=by_lag)
     L, _ = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), targets)
+    solved = _cho_solve(L, np.column_stack([targets, X, np.ones(targets.size)]))
+    alpha = solved[:, 0]
     value = _lml_from_factors(targets, L, alpha)
-
-    W = np.outer(alpha, alpha)
-    W -= _inverse_from_chol(L)
-    return value, 0.5 * gram_gradients(weeks, X, h, W, by_lag=by_lag)
+    return value, 0.5 * gram_gradients(weeks, X, h, alpha, _inverse_lower(L),
+                                       solved[:, 1:], by_lag=by_lag)

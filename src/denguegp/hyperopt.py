@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import ModelFitError, lml_value_and_gradient, validate_design
-from .kernels import PARAM_NAMES, KernelHyperparameters
+from .kernels import PARAM_NAMES, KernelHyperparameters, lag_table
 
 N_PARAMS = len(PARAM_NAMES)
 
@@ -96,7 +96,8 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
 
     The design is n weeks with their (n, 3) covariate rows and n
     targets.  Each restart minimizes the negative likelihood with
-    analytic gradients inside the LOG_BOUNDS box.  A restart whose
+    analytic gradients inside the LOG_BOUNDS box; every evaluation
+    shares one table of week distances, built here.  A restart whose
     every evaluation fails the Cholesky factorization is recorded as
     failed; if all restarts fail, the data is pathological and
     ModelFitError propagates.  Identical (weeks, X, targets, config) give
@@ -108,11 +109,12 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     weeks, X, targets = validate_design(weeks, X, targets)
     if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")
+    lag = lag_table(weeks)
 
     def objective(log_theta):
         try:
             h = KernelHyperparameters.from_log_vector(log_theta)
-            value, grad = lml_value_and_gradient(weeks, X, targets, h)
+            value, grad = lml_value_and_gradient(weeks, X, targets, h, lag=lag)
         except ModelFitError:
             return _FAILURE_VALUE, np.zeros(N_PARAMS)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):

@@ -16,7 +16,8 @@ attached to each week.
   lengthscale per covariate (large lengthscale = irrelevant covariate).
 
 A design is n whole-number week indices and an (n, 3) matrix of
-covariate rows; the time parts are evaluated once per lag.  Observation
+covariate rows; the time parts are evaluated once per lag, through a
+table of week distances that depends on the weeks alone.  Observation
 noise adds sigma_noise^2 to the Gram diagonal.  All gradients are taken
 with respect to the natural logarithm of each hyperparameter, which is
 the parameterization the optimizer works in.
@@ -188,13 +189,24 @@ def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
     ])
 
 
-def _by_lag(weeks, h: KernelHyperparameters) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-week distances |week_i - week_j| and _time_parts at lags 0..max."""
+def lag_table(weeks) -> np.ndarray:
+    """Whole-week distances |week_i - week_j| over a design, as integers.
+
+    They depend on the weeks alone, so a caller that evaluates many
+    hyperparameters on one design builds the table once.
+    """
     weeks = np.asarray(weeks, dtype=float)
     if not (np.all(np.isfinite(weeks)) and np.array_equal(weeks, np.rint(weeks))):
         raise ValueError("design weeks must be whole numbers")
     w = weeks.astype(np.int64)
-    return np.abs(w[:, None] - w[None, :]), _time_parts(np.arange(np.ptp(w) + 1.0), h)
+    return np.abs(w[:, None] - w[None, :])
+
+
+def _by_lag(weeks, h: KernelHyperparameters, lag=None) -> tuple[np.ndarray, np.ndarray]:
+    """The lag table (lag_table(weeks) unless given) and _time_parts at
+    lags 0..max."""
+    lag = lag_table(weeks) if lag is None else lag
+    return lag, _time_parts(np.arange(np.ptp(weeks) + 1.0), h)
 
 
 def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
@@ -224,16 +236,36 @@ def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     return parts[0] + parts[2] + linear
 
 
-def gram_gradients(weeks, X, h: KernelHyperparameters, W, *, by_lag=None) -> np.ndarray:
-    """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta) for an n x n
-    array W, in PARAM_NAMES order, without forming any n x n gradient:
-    time gradients are dot products with W summed by lag, ARD gradients
-    quadratic forms, bias sigma_lin^2 sum(W) and noise sigma_noise^2 tr(W).
-    by_lag is _by_lag(weeks, h) when the caller has it already.
+def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
+                   inverse_cols, *, by_lag=None) -> np.ndarray:
+    """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta), in PARAM_NAMES
+    order, for W = alpha alpha^T - M with M symmetric (GPML eq. 5.9 has
+    M = (K + sigma_noise^2 I)^-1), without forming W or any n x n gradient.
+
+    M enters as inverse_lower, its lower triangle with the upper one
+    zero (as LAPACK dpotri leaves it), and as inverse_cols = M [X, 1],
+    shape (n, 4).  The time gradients contract _time_parts with the sums
+    of W over each lag: those of alpha alpha^T autocorrelate alpha summed
+    per week, which holds for any whole weeks, with gaps, repeats or no
+    order; those of M count its strict lower triangle twice.  The ARD
+    and bias gradients are quadratic forms of W in the columns of [X, 1],
+    and the noise gradient is sigma_noise^2 tr(W).  by_lag is
+    _by_lag(weeks, h) when the caller has it already.
     """
     lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
     X = np.asarray(X, dtype=float)
-    time = parts @ np.bincount(lag.ravel(), weights=W.ravel(), minlength=parts.shape[1])
-    ard = -2.0 * np.sum(X * (W @ X), axis=0) / h.ard_lengthscales**2
-    return np.concatenate([time, [h.sigma_lin_sq * W.sum()], ard,
-                           [h.sigma_noise_sq * np.trace(W)]])
+    n_lags = parts.shape[1]
+    # the earliest week's row of lag holds every week's offset from it
+    per_week = np.bincount(lag[np.argmin(weeks)], weights=alpha, minlength=n_lags)
+    outer_sums = np.correlate(per_week, per_week, "full")[n_lags - 1:]
+    # lag is symmetric, so its C order pairs with the F order of inverse_lower
+    lower_sums = np.bincount(lag.ravel(), weights=inverse_lower.ravel(order="F"),
+                             minlength=n_lags)
+    trace = np.trace(inverse_lower)
+    lag_sums = 2.0 * (outer_sums - lower_sums)
+    lag_sums[0] += trace - outer_sums[0]
+    ard = -2.0 * ((X.T @ alpha) ** 2 - np.sum(X * inverse_cols[:, :3], axis=0))
+    bias = alpha.sum() ** 2 - inverse_cols[:, 3].sum()
+    return np.concatenate([parts @ lag_sums, [h.sigma_lin_sq * bias],
+                           ard / h.ard_lengthscales**2,
+                           [h.sigma_noise_sq * (alpha @ alpha - trace)]])

@@ -6,17 +6,18 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
-import denguegp.gp
-from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_from_chol, fit,
+from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_lower, fit,
                          lml_value_and_gradient, log_marginal_likelihood, predict)
 from denguegp.hyperopt import _FAILURE_VALUE, OptimizerConfig, optimize
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
-                              composite_kernel, gram_from_arrays, gram_gradients)
+                              composite_kernel, gram_from_arrays, kernel_vector,
+                              lag_table)
 
-from test_kernels import (make_hyperparameters, random_design,
-                          random_hyperparameters, random_input)
+from test_kernels import (dense_gram_gradients, irregular_design, make_hyperparameters,
+                          random_design, random_hyperparameters, random_input)
 
 # frozen scalar evaluations of the N=1 closed form
 LML_UNIT_VARIANCE_ZERO_TARGET = -0.9189385332046728
@@ -74,6 +75,17 @@ class TestFit:
         rebuilt = model.chol @ model.chol.T
         assert np.linalg.norm(rebuilt - K) <= 1e-8 * np.linalg.norm(K)
         assert np.linalg.norm(K @ model.alpha - y) <= 1e-6 * np.linalg.norm(y)
+
+    def test_lapack_calls_match_the_scipy_wrappers_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        weeks, X, y, h = random_instance(rng, 60)
+        model = fit(weeks, X, y, h)
+        assert np.array_equal(model.alpha, scipy.linalg.cho_solve((model.chol, True), y))
+        week, x = random_input(rng, max_week=120)
+        kstar = kernel_vector(weeks, X, week, x, h)
+        v = scipy.linalg.solve_triangular(model.chol, kstar, lower=True)
+        kss = kernel_vector([week], x[None, :], week, x, h)[0]
+        assert predict(model, week, x).variance == kss - v @ v > 0.0
 
     def test_duplicate_inputs_need_jitter(self):
         x = np.array([0.1, 0.2, 0.3])
@@ -248,19 +260,31 @@ class TestLmlGradient:
             K += jitter * np.eye(y.size)
             K_inv = np.linalg.inv(K)
             alpha = K_inv @ y
-            expected = 0.5 * gram_gradients(weeks, X, h, np.outer(alpha, alpha) - K_inv)
+            K_inv = (K_inv + K_inv.T) / 2  # W's symmetric part is all a gradient sees
+            expected = 0.5 * dense_gram_gradients(weeks, X, h, alpha, K_inv)
             tol = max(1e-9, np.linalg.cond(K) * np.finfo(float).eps)
             error = np.max(np.abs(lml_grad(weeks, X, y, h) - expected))
             assert error <= tol * np.max(np.abs(expected))
         assert jittered == 1
 
-    def test_inverse_is_exactly_symmetric(self):
+    def test_inverse_lower_triangle_matches_dense_inverse(self):
         rng = np.random.default_rng(109)
         weeks, X, _, h = random_instance(rng, 30)
         K = gram_from_arrays(weeks, X, h, include_noise=True)
-        K_inv = _inverse_from_chol(_chol_with_jitter(K)[0])
-        assert np.array_equal(K_inv, K_inv.T)
-        assert_allclose(K_inv, np.linalg.inv(K), rtol=1e-9, atol=1e-12 * np.abs(K_inv).max())
+        lower = _inverse_lower(_chol_with_jitter(K)[0])
+        assert not np.any(np.triu(lower, 1))
+        assert_allclose(lower, np.tril(np.linalg.inv(K)), rtol=1e-9,
+                        atol=1e-12 * np.abs(lower).max())
+
+    def test_lag_table_keyword_gives_the_same_bits(self):
+        rng = np.random.default_rng(131)
+        for weeks, X in (random_design(rng, 40, max_week=120), irregular_design(rng, 40),
+                         (np.arange(1, 41), rng.normal(size=(40, 3)))):
+            h, y = random_hyperparameters(rng), rng.normal(size=40)
+            value, grad = lml_value_and_gradient(weeks, X, y, h)
+            value_lag, grad_lag = lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
+            assert value_lag == value
+            assert np.array_equal(grad_lag, grad)
 
     def test_value_and_gradient_agree_with_separate_calls(self):
         rng = np.random.default_rng(89)
@@ -318,7 +342,7 @@ class TestFailureModes:
     def test_failed_inverse_is_a_failed_evaluation(self, monkeypatch):
         # dpotri reports a zero pivot through info; the call must raise, and
         # optimize must score that evaluation as _FAILURE_VALUE, not crash
-        dpotri = denguegp.gp.dpotri
+        dpotri = scipy.linalg.lapack.dpotri
         calls = []
 
         def failing_first_call(L, lower):
@@ -326,7 +350,7 @@ class TestFailureModes:
             inverse, info = dpotri(L, lower=lower)
             return inverse, 1 if len(calls) == 1 else info
 
-        monkeypatch.setattr(denguegp.gp, "dpotri", failing_first_call)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", failing_first_call)
         rng = np.random.default_rng(127)
         weeks, X, y, h = random_instance(rng, 30)
         with pytest.raises(ModelFitError, match="dpotri info 1"):
@@ -344,6 +368,56 @@ class TestFailureModes:
         L, jitter = _chol_with_jitter(K)
         assert jitter == 0.0
         assert np.array_equal(L, scipy.linalg.cholesky(K, lower=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        K = np.eye(3)
+        K[2, 1] = K[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _chol_with_jitter(K)
+
+    def test_failed_factorization_enters_the_jitter_ladder(self, monkeypatch):
+        # dpotrf reports a non-positive leading minor through info > 0
+        dpotrf = scipy.linalg.lapack.dpotrf
+        calls = []
+
+        def failing_first_call(a, lower, clean):
+            calls.append(a.copy())
+            L, info = dpotrf(a, lower=lower, clean=clean)
+            return L, 2 if len(calls) == 1 else info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_first_call)
+        rng = np.random.default_rng(137)
+        weeks, X, _, h = random_instance(rng, 20)
+        K = gram_from_arrays(weeks, X, h, include_noise=True)
+        L, jitter = _chol_with_jitter(K)
+        assert jitter == 1e-8 * np.mean(np.diag(K))
+        assert len(calls) == 2 and np.array_equal(calls[1], K + jitter * np.eye(20))
+        assert np.array_equal(L, scipy.linalg.cholesky(calls[1], lower=True))
+
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dtrtrs", "dpotri"])
+    def test_illegal_lapack_argument_raises(self, monkeypatch, routine):
+        # info < 0 names an illegal argument; no routine may return its output
+        original = getattr(scipy.linalg.lapack, routine)
+
+        def illegal(*args, **kwargs):
+            return original(*args, **kwargs)[0], -2
+
+        rng = np.random.default_rng(139)
+        weeks, X, y, h = random_instance(rng, 20)
+        model = fit(weeks, X, y, h)
+        monkeypatch.setattr(scipy.linalg.lapack, routine, illegal)
+        with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
+            lml_value_and_gradient(weeks, X, y, h)  # calls every routine but dtrtrs
+            predict(model, 130, X[0])
+
+    def test_singular_triangular_solve_raises(self, monkeypatch):
+        dtrtrs = scipy.linalg.lapack.dtrtrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs",
+                            lambda *args, **kwargs: (dtrtrs(*args, **kwargs)[0], 3))
+        model = fit(*ONE_WEEK, [1.0], make_hyperparameters())
+        with pytest.raises(ModelFitError, match="dtrtrs info 3"):
+            predict(model, 4, np.zeros(3))
 
     def test_jitter_stays_bounded(self):
         h = make_hyperparameters(sigma_noise_sq=0.0)

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays,
-                              gram_gradients, kernel_vector, linear_ard,
-                              matern52, periodic)
+                              gram_gradients, kernel_vector, lag_table,
+                              linear_ard, matern52, periodic)
 
 # frozen high-precision evaluations of the closed forms
 MATERN_AT_ONE_LENGTHSCALE = 0.5239941088318203
@@ -262,12 +262,26 @@ def finite_difference_kernel(a, b, h, index, step=1e-5):
     return (composite_kernel(*a, *b, hp) - composite_kernel(*a, *b, hm)) / (2 * step)
 
 
+def dense_gram_gradients(weeks, X, h, alpha, M):
+    """gram_gradients for W = alpha alpha^T - M, from a dense symmetric M."""
+    cols = np.column_stack([X, np.ones(len(weeks))])
+    return gram_gradients(weeks, X, h, alpha, np.tril(M), M @ cols)
+
+
+def random_w_factors(rng, n):
+    """(alpha, M) with M symmetric: W = alpha alpha^T - M is a random
+    symmetric matrix."""
+    M = rng.normal(size=(n, n))
+    return rng.normal(size=n), M + M.T
+
+
 def pairwise_gradients(a, b, h):
     """Gradients of composite_kernel(a, b, h): the (0, 1) entry of the
-    Gram gradients over the 2-point design [a, b], picked by W = e0 e1^T."""
+    Gram gradients over the 2-point design [a, b], picked by the
+    symmetric W = (e0 e1^T + e1 e0^T) / 2, that is alpha = 0 and M = -W."""
     weeks = np.array([a[0], b[0]])
     X = np.vstack([a[1], b[1]])
-    return gram_gradients(weeks, X, h, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    return dense_gram_gradients(weeks, X, h, np.zeros(2), -np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def irregular_design(rng, n):
@@ -312,22 +326,23 @@ class TestKernelGradients:
         rng = np.random.default_rng(19)
         h = random_hyperparameters(rng)
         weeks, X = random_design(rng, 6)
-        W = rng.normal(size=(6, 6))
-        grads = gram_gradients(weeks, X, h, W)
+        alpha, M = random_w_factors(rng, 6)
+        grads = dense_gram_gradients(weeks, X, h, alpha, M)
         idx = PARAM_NAMES.index("sigma_noise_sq")
-        assert grads[idx] == h.sigma_noise_sq * np.trace(W)
+        assert grads[idx] == h.sigma_noise_sq * (alpha @ alpha - np.trace(M))
 
     def test_matches_dense_finite_differences(self):
         """sum W * dK/dlog(theta) against a central difference of the
-        noisy Gram matrix, on designs the lag binning must get right."""
+        noisy Gram matrix, for W = alpha alpha^T - M, on designs the lag
+        binning must get right."""
         rng = np.random.default_rng(29)
         step = 1e-5
         for _ in range(10):
             h = random_hyperparameters(rng)
             weeks, X = irregular_design(rng, 30)
-            W = rng.normal(size=(30, 30))
-            W = W + W.T
-            grads = gram_gradients(weeks, X, h, W)
+            alpha, M = random_w_factors(rng, 30)
+            W = np.outer(alpha, alpha) - M
+            grads = dense_gram_gradients(weeks, X, h, alpha, M)
             for idx in range(len(PARAM_NAMES)):
                 plus, minus = h.to_log_vector(), h.to_log_vector()
                 plus[idx] += step
@@ -346,4 +361,6 @@ class TestKernelGradients:
         with pytest.raises(ValueError, match="whole numbers"):
             gram_from_arrays(weeks, X, h, include_noise=True)
         with pytest.raises(ValueError, match="whole numbers"):
-            gram_gradients(weeks, X, h, np.eye(3))
+            dense_gram_gradients(weeks, X, h, np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="whole numbers"):
+            lag_table(weeks)
