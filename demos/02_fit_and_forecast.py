@@ -14,8 +14,8 @@ Run with:  python3 demos/02_fit_and_forecast.py   (takes a few seconds)
 import dataclasses
 import time
 
-from denguegp.evaluation import TrainingView, build_design, query_row, to_natural
-from denguegp.gp import fit, predict
+from denguegp.evaluation import TrainingView, build_design, gp_forecast, query_row
+from denguegp.gp import fit
 from denguegp.hyperopt import OptimizerConfig, optimize
 from denguegp.synth import draw_from_prior, strongly_periodic_spec
 
@@ -59,9 +59,8 @@ def main():
     print("Four-week-ahead forecasts (DIR per 100k):")
     print(f"  {'week':>5s}  {'actual':>8s}  {'predicted':>9s}  {'95% interval':>18s}")
     for target in range(TRAIN_END + 1, TRAIN_END + 5):
-        dist = predict(model, target, query_row(view, state, target))
-        predicted, _, lower, upper = to_natural(dist.mean + state.response_mean,
-                                                dist.variance)
+        predicted, _, lower, upper = gp_forecast(model, target,
+                                                 query_row(view, state, target), state)
         actual = draw.dir_series.value_at(target)
         interval = f"[{lower:7.1f}, {upper:7.1f}]"
         print(f"  {target:>5d}  {actual:>8.1f}  {predicted:>9.1f}  {interval:>18s}")

@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -34,10 +35,10 @@ if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .data import DataValidationError, _format_number, load_dataset
-from .evaluation import (_METRICS, MIN_VIEW_WEEKS, MODELS, CityData, ForecastRow,
-                         ProtocolConfig, aggregate_reports, build_design,
-                         query_row, run_backtest, to_natural)
-from .gp import ModelFitError, fit, predict
+from .evaluation import (_METRICS, MODELS, CityData, ForecastRow, ProtocolConfig,
+                         aggregate_reports, build_design, gp_forecast, query_row,
+                         run_backtest, target_weeks)
+from .gp import ModelFitError, fit
 from .hyperopt import OptimizerConfig, optimize
 from .kernels import KernelHyperparameters
 
@@ -95,6 +96,23 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+@contextmanager
+def _input_error(context: str, file: str | None = None):
+    """Re-raise a ValueError from the block as an input error (exit 2).
+
+    With a file, the block reads a JSON file this program wrote, so a
+    missing key or a value of the wrong type is an input error too.
+    """
+    caught = ValueError if file is None else (ValueError, KeyError, TypeError)
+    try:
+        yield
+    except DataValidationError:
+        raise
+    except caught as e:
+        detail = e if isinstance(e, ValueError) else f"{type(e).__name__} {e}"
+        raise DataValidationError(f"{context}: {detail}", file=file) from None
+
+
 def _coerce(key: str, value):
     if value is None or not isinstance(value, str):
         return value
@@ -119,10 +137,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[key] = flag
 
-    try:
+    with _input_error("bad setting value"):
         merged = {k: _coerce(k, v) for k, v in merged.items()}
-    except ValueError as e:
-        raise DataValidationError(f"bad setting value: {e}") from None
     if merged["model"] not in _MODEL_CHOICES:
         raise DataValidationError(
             f"model must be one of {', '.join(_MODEL_CHOICES)}")
@@ -133,14 +149,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load(cfg: RunConfig):
-    d = cfg.data_dir
-    return load_dataset(
-        cases_path=os.path.join(d, "cases.csv"),
-        population_path=os.path.join(d, "population.csv"),
-        climate_path=os.path.join(d, "climate.csv"),
-        stations_path=os.path.join(d, "stations.csv"),
-        cities_path=os.path.join(d, "cities.csv"),
-    )
+    return load_dataset(*(os.path.join(cfg.data_dir, f"{name}.csv")
+                          for name in ("cases", "population", "climate", "stations", "cities")))
+
+
+def _read_json(path: str, command: str):
+    """Load a JSON file that the given command writes."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise DataValidationError(f"no {path}; run the {command} command first") from None
+    with fh, _input_error("not valid JSON", file=path):
+        return json.load(fh)
 
 
 def _write_json(path: str, payload: dict):
@@ -154,13 +174,17 @@ def _fmt(v) -> str:
     return "" if v is None else _format_number(v)
 
 
-def _write_forecast_csv(path: str, rows, model: str):
+def _write_csv(path: str, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(FORECAST_HEADER)
-        for r in rows:
-            w.writerow((r.target_week, _fmt(r.actual_dir), _fmt(r.predicted_dir),
-                        _fmt(r.sd), _fmt(r.lower95), _fmt(r.upper95), model))
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_forecast_csv(path: str, rows, model: str):
+    _write_csv(path, FORECAST_HEADER,
+               ((r.target_week, _fmt(r.actual_dir), _fmt(r.predicted_dir), _fmt(r.sd),
+                 _fmt(r.lower95), _fmt(r.upper95), model) for r in rows))
 
 
 def _trained_city(cfg: RunConfig, ds) -> CityData:
@@ -173,20 +197,9 @@ def _trained_city(cfg: RunConfig, ds) -> CityData:
 
 def _design(cfg: RunConfig, ds, view):
     """build_design for the --city view; a failure is an input error (exit 2)."""
-    try:
+    with _input_error(f"cases.csv and climate.csv: city {cfg.city} with station "
+                      f"{ds.assignments[cfg.city]} cannot be preprocessed"):
         return build_design(view)
-    except ValueError as e:
-        raise DataValidationError(
-            f"cases.csv and climate.csv: city {cfg.city} with station "
-            f"{ds.assignments[cfg.city]} cannot be preprocessed: {e}") from None
-
-
-def _validated(config_class, **settings):
-    """Build a settings object; a rejected value is an input error (exit 2)."""
-    try:
-        return config_class(**settings)
-    except ValueError as e:
-        raise DataValidationError(f"bad setting value: {e}") from None
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -204,7 +217,8 @@ def cmd_train(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"need at least 104 training weeks, have {city.dir_series.n_weeks}")
 
-    optimizer_config = _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed)
+    with _input_error("bad setting value"):
+        optimizer_config = OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed)
     view = city.training_view(city.dir_series.end_week)
     weeks, X, y, state = _design(cfg, ds, view)
     h, lml, diagnostics = optimize(weeks, X, y, optimizer_config)
@@ -227,23 +241,13 @@ def cmd_forecast(cfg: RunConfig) -> int:
     ds = _load(cfg)
     city = _trained_city(cfg, ds)
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
-    try:
-        with open(model_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataValidationError(
-            f"no saved model at {model_path}; run the train command first") from None
-
-    try:
+    payload = _read_json(model_path, "train")
+    with _input_error("invalid saved model", file=model_path):
         h = KernelHyperparameters.from_dict(payload["hyperparameters"])
         saved_transform = payload["transform"]
         end = int(payload["training_end_week"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataValidationError(f"invalid saved model: {type(e).__name__} {e}",
-                                  file=model_path) from None
-    if not city.dir_series.start_week <= end <= city.dir_series.end_week:
-        raise DataValidationError(f"training end week {end} is outside this series",
-                                  file=model_path)
+        if not city.dir_series.start_week <= end <= city.dir_series.end_week:
+            raise ValueError(f"training end week {end} is outside this series")
     if cfg.horizon < 1:
         raise DataValidationError(f"bad setting value: horizon must be >= 1, got {cfg.horizon}")
 
@@ -261,12 +265,9 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
     model = fit(weeks, X, y, h)
 
-    rows = []
-    for t in range(end + 1, end + cfg.horizon + 1):
-        dist = predict(model, t, query_row(view, state, t))
-        actual = city.actual_dir(t) if t <= city.dir_series.end_week else None
-        rows.append(ForecastRow(t, actual, *to_natural(dist.mean + state.response_mean,
-                                                       dist.variance)))
+    rows = [ForecastRow(t, city.actual_dir(t) if t <= city.dir_series.end_week else None,
+                        *gp_forecast(model, t, query_row(view, state, t), state))
+            for t in range(end + 1, end + cfg.horizon + 1)]
 
     out_path = os.path.join(cfg.out_dir, f"prediction_{cfg.city}.csv")
     _write_forecast_csv(out_path, rows, "gp")
@@ -284,36 +285,30 @@ def _city_worker(task):
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
-    if cfg.jobs < 1:
-        raise DataValidationError(f"bad setting value: jobs must be >= 1, got {cfg.jobs}")
     ds = _load(cfg)
-    city_ids = sorted(cid for cid, c in ds.cities.items()
-                      if c.population >= cfg.min_population)
-    if not city_ids:
+    models = MODELS if cfg.model == "all" else (cfg.model,)
+    with _input_error("bad setting value"):
+        if cfg.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+        protocol = ProtocolConfig(horizon=cfg.horizon, first_target=cfg.first_target,
+                                  last_target=cfg.last_target, refit_every=cfg.refit_every)
+        optimizer_config = OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed)
+        # load_dataset gives every city the same week window
+        target_weeks(models, protocol, ds.start_week, ds.end_week)
+
+    # city i of the full sorted list draws seed + i, whichever cities the
+    # population filter keeps
+    tasks = [(CityData.from_dataset(ds, cid), models, protocol,
+              replace(optimizer_config, seed=cfg.seed + i))
+             for i, cid in enumerate(sorted(ds.cities))
+             if ds.cities[cid].population >= cfg.min_population]
+    if not tasks:
         raise DataValidationError(
             f"no cities with population >= {cfg.min_population}")
 
-    models = MODELS if cfg.model == "all" else (cfg.model,)
-    protocol = _validated(ProtocolConfig, horizon=cfg.horizon, first_target=cfg.first_target,
-                          last_target=cfg.last_target, refit_every=cfg.refit_every)
-    need = max(MIN_VIEW_WEEKS[m] for m in models)
-    if cfg.first_target - cfg.horizon < need:
-        raise DataValidationError(
-            f"bad setting value: first_target {cfg.first_target} leaves a "
-            f"{cfg.first_target - cfg.horizon}-week training view, and --model "
-            f"{cfg.model} needs at least {need} weeks")
-    # load_dataset gives every city the same week window
-    for key in ("first_target", "last_target"):
-        week = getattr(cfg, key)
-        if week is not None and week > ds.end_week:
-            raise DataValidationError(
-                f"bad setting value: {key} {week} is past the last data week {ds.end_week}")
-    tasks = [(CityData.from_dataset(ds, cid), models, protocol,
-              _validated(OptimizerConfig, restarts=cfg.restarts, seed=cfg.seed + idx))
-             for idx, cid in enumerate(city_ids)]
-
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_city_worker, tasks))
     else:
         results = [_city_worker(t) for t in tasks]
@@ -335,12 +330,9 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
     summary = aggregate_reports(reports, ds.cities)
     summary["failures"] = {c: failures[c] for c in sorted(failures)}
-    summary["config"] = {
-        "model": cfg.model, "seed": cfg.seed, "horizon": cfg.horizon,
-        "first_target": cfg.first_target, "last_target": cfg.last_target,
-        "refit_every": cfg.refit_every, "restarts": cfg.restarts,
-        "min_population": cfg.min_population,
-    }
+    summary["config"] = {k: getattr(cfg, k) for k in (
+        "model", "seed", "horizon", "first_target", "last_target", "refit_every",
+        "restarts", "min_population")}
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     _write_json(summary_path, summary)
     print(f"wrote {len(reports)} forecast files and {summary_path}")
@@ -358,58 +350,36 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "mixed": (synth.SynthSpec(), synth.strongly_periodic_spec(),
                   synth.low_incidence_spec()),
     }[cfg.variation]
-    try:
+    with _input_error(f"bad setting value: --n-cities {cfg.n_cities} --weeks {cfg.weeks} "
+                      f"--seed {cfg.seed}"):
         variations = tuple(replace(v, weeks=cfg.weeks) for v in presets)
-    except ValueError as e:
-        raise DataValidationError(f"bad setting value: --weeks {cfg.weeks}: {e}") from None
-
-    ds = synth.make_multi_city_fixture(cfg.out_dir, cfg.n_cities,
-                                       variations=variations, seed=cfg.seed)
+        ds = synth.make_multi_city_fixture(cfg.out_dir, cfg.n_cities,
+                                           variations=variations, seed=cfg.seed)
     print(f"fixture with {len(ds.cities)} cities written to {cfg.out_dir}")
     return 0
 
 
 def cmd_report(cfg: RunConfig) -> int:
     summary_path = os.path.join(cfg.out_dir, "summary.json")
-    try:
-        with open(summary_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except FileNotFoundError:
-        raise DataValidationError(
-            f"no {summary_path}; run the backtest command first") from None
+    summary = _read_json(summary_path, "backtest")
+    # every row is read before the first file is written
+    with _input_error("invalid summary", file=summary_path):
+        models = summary["models"]
+        scatter = [(metric, a, b, cid, _fmt(city[a][metric]), _fmt(city[b][metric]))
+                   for metric in _METRICS
+                   for i, a in enumerate(models) for b in models[i + 1:]
+                   for cid, city in sorted(summary["cities"].items())
+                   if a in city and b in city
+                   and city[a][metric] is not None and city[b][metric] is not None]
+        blocks = [("all", summary["overall"])] + sorted(summary["regions"].items())
+        boxplot = [(region, m, metric, _fmt(q["q1"]), _fmt(q["median"]), _fmt(q["q3"]), q["n"])
+                   for region, block in blocks for m in models for metric in _METRICS
+                   if (q := block[m][metric]) is not None]
 
-    models = summary["models"]
-
-    with open(os.path.join(cfg.out_dir, "scatter.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("metric", "model_a", "model_b", "city_id", "value_a", "value_b"))
-        for metric in _METRICS:
-            for i, a in enumerate(models):
-                for b in models[i + 1:]:
-                    for cid in sorted(summary["cities"]):
-                        city = summary["cities"][cid]
-                        if a not in city or b not in city:
-                            continue
-                        va, vb = city[a][metric], city[b][metric]
-                        if va is None or vb is None:
-                            continue
-                        w.writerow((metric, a, b, cid, _fmt(va), _fmt(vb)))
-
-    with open(os.path.join(cfg.out_dir, "boxplot.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("region", "model", "metric", "q1", "median", "q3", "n"))
-        blocks = [("all", summary["overall"])]
-        blocks += sorted(summary["regions"].items())
-        for region, block in blocks:
-            for m in models:
-                for metric in _METRICS:
-                    q = block[m][metric]
-                    if q is None:
-                        continue
-                    w.writerow((region, m, metric, _fmt(q["q1"]), _fmt(q["median"]),
-                                _fmt(q["q3"]), q["n"]))
+    _write_csv(os.path.join(cfg.out_dir, "scatter.csv"),
+               ("metric", "model_a", "model_b", "city_id", "value_a", "value_b"), scatter)
+    _write_csv(os.path.join(cfg.out_dir, "boxplot.csv"),
+               ("region", "model", "metric", "q1", "median", "q3", "n"), boxplot)
 
     n_trajectories = 0
     for name in sorted(os.listdir(cfg.out_dir)):
@@ -419,14 +389,9 @@ def cmd_report(cfg: RunConfig) -> int:
             rows = list(csv.reader(fh))
         if not rows or tuple(rows[0]) != FORECAST_HEADER:
             continue
-        out_name = "trajectory_" + name[len("forecast_"):]
-        with open(os.path.join(cfg.out_dir, out_name), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(("target_week", "actual_dir", "predicted_dir",
-                        "lower95", "upper95"))
-            for row in rows[1:]:
-                w.writerow((row[0], row[1], row[2], row[4], row[5]))
+        _write_csv(os.path.join(cfg.out_dir, "trajectory_" + name[len("forecast_"):]),
+                   ("target_week", "actual_dir", "predicted_dir", "lower95", "upper95"),
+                   ((row[0], row[1], row[2], row[4], row[5]) for row in rows[1:]))
         n_trajectories += 1
 
     print(f"wrote scatter.csv, boxplot.csv and {n_trajectories} trajectory files "

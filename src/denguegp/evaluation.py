@@ -244,6 +244,36 @@ def to_natural(log_pred: float, variance: float | None = None) -> tuple:
     return out
 
 
+def gp_forecast(model, week: int, x, state: TransformState) -> tuple:
+    """The GP's forecast for one week on the DIR scale.
+
+    predict gives the centered log scale; the response mean is added
+    back before to_natural, whose tuple this returns.
+    """
+    dist = predict(model, week, x)
+    return to_natural(dist.mean + state.response_mean, dist.variance)
+
+
+def target_weeks(models, protocol: ProtocolConfig, start_week: int, end_week: int) -> range:
+    """The target weeks a backtest of these models forecasts on a series
+    of weeks start_week..end_week.
+
+    Raises ValueError unless the series runs from week 1 through both
+    targets and the first target's training view holds MIN_VIEW_WEEKS
+    for every model.
+    """
+    first, last = protocol.first_target, protocol.last_target or end_week
+    need = max((MIN_VIEW_WEEKS[m] for m in models), default=0)
+    if first - protocol.horizon < need:
+        raise ValueError(f"first_target {first} leaves a {first - protocol.horizon}-week "
+                         f"training view, and model {max(models, key=MIN_VIEW_WEEKS.get)} "
+                         f"needs at least {need} weeks")
+    if start_week > 1 or max(first, last) > end_week:
+        raise ValueError(f"the series must cover weeks 1..{max(first, last)}, "
+                         f"has {start_week}..{end_week}")
+    return range(first, last + 1)
+
+
 def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
                  optimizer_config: OptimizerConfig | None = None) -> list[BacktestReport]:
     """Forecast every target week with each requested model and score it.
@@ -258,7 +288,8 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
     use the available rows.  The GP re-optimizes its hyperparameters at
     every refit_every-th target and whenever it has none yet; a failed
     refit keeps the previous hyperparameters, and an origin with none is
-    a gap.
+    a gap.  A target window the series cannot serve raises ValueError
+    before any work (target_weeks).
     """
     for m in models:
         if m not in MODELS:
@@ -266,16 +297,12 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
     protocol = protocol or ProtocolConfig()
     optimizer_config = optimizer_config or OptimizerConfig()
 
-    series = city.dir_series
-    last = protocol.last_target if protocol.last_target is not None else series.end_week
-    if series.start_week > 1 or series.end_week < last:
-        raise ValueError(
-            f"series must cover weeks 1..{last}, has {series.start_week}..{series.end_week}")
-
+    weeks_to_forecast = target_weeks(models, protocol, city.dir_series.start_week,
+                                     city.dir_series.end_week)
     needs_design = "gp" in models or "lm" in models
     h = None
     rows = {m: [] for m in models}
-    for t in range(protocol.first_target, last + 1):
+    for t in weeks_to_forecast:
         view = city.training_view(t - protocol.horizon)
         actual = city.actual_dir(t)
         x_query = None
@@ -303,9 +330,7 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
                         except ModelFitError:
                             pass  # keep the previous hyperparameters, retry next week
                     if h is not None:
-                        dist = predict(fit(weeks, X, y, h), t, x_query)
-                        forecast = to_natural(dist.mean + state.response_mean,
-                                              dist.variance)
+                        forecast = gp_forecast(fit(weeks, X, y, h), t, x_query, state)
             except (ValueError, ModelFitError):
                 pass
             rows[m].append(ForecastRow(t, actual, *forecast))

@@ -55,6 +55,8 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def default_initialization(target_variance: float, restart_index: int,

@@ -12,6 +12,7 @@ import pytest
 
 import denguegp
 import denguegp.cli
+import denguegp.evaluation
 from denguegp.cli import (FORECAST_HEADER, build_parser, main, resolve_config)
 from denguegp.data import DataValidationError, load_dataset
 from denguegp.evaluation import CityData, build_design
@@ -156,6 +157,14 @@ class TestSimulate:
         assert main(["simulate", "--out-dir", d, "--n-cities", "1",
                      "--weeks", "30", "--seed", "1"]) == 2
         assert "--weeks 30" in capsys.readouterr().err
+        assert not os.path.exists(d)
+
+    @pytest.mark.parametrize("flag, value", [("--n-cities", "0"), ("--seed", "-1")])
+    def test_invalid_setting_exits_2(self, tmp_path, capsys, flag, value):
+        d = str(tmp_path / "bad")
+        assert main(["simulate", "--out-dir", d, "--weeks", "80", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "bad setting value" in err and f"{flag} {value}" in err
         assert not os.path.exists(d)
 
 
@@ -317,6 +326,60 @@ class TestBacktestCommand:
                      "--last-target", "125"]) == 3
         assert "backtest failed for every city" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["backtest", "train"])
+    def test_negative_seed_exits_2(self, sim_dir, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        argv = [command, "--data-dir", sim_dir, "--out-dir", str(out), "--seed", "-1",
+                "--restarts", "1"]
+        argv += (["--model", "gp", "--first-target", "120", "--last-target", "121"]
+                 if command == "backtest" else ["--city", "C001"])
+        assert main(argv) == 2
+        assert "bad setting value: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_city_seed_ignores_the_population_filter(self, tmp_path):
+        # C001 (population 150000) is dropped by the filter; C002 keeps
+        # its place in the sorted list and so its seed.  On this fixture
+        # C002's optimum moves in its last digits with the seed.
+        data = str(tmp_path / "d")
+        assert main(["simulate", "--out-dir", data, "--n-cities", "2",
+                     "--weeks", "120", "--seed", "0"]) == 0
+        args = ["backtest", "--data-dir", data, "--model", "gp", "--restarts", "3",
+                "--first-target", "100", "--last-target", "101", "--seed", "0"]
+        both, c002 = str(tmp_path / "both"), str(tmp_path / "c002")
+        assert main(args + ["--out-dir", both]) == 0
+        assert main(args + ["--out-dir", c002, "--min-population", "180000"]) == 0
+        assert not os.path.exists(os.path.join(c002, "forecast_C001_gp.csv"))
+        assert (read_bytes(os.path.join(c002, "forecast_C002_gp.csv"))
+                == read_bytes(os.path.join(both, "forecast_C002_gp.csv")))
+
+    @pytest.mark.parametrize("jobs, min_population, workers", [
+        ("64", "0", [2]), ("2", "180000", [])])
+    def test_jobs_capped_at_the_number_of_cities(self, sim_dir, tmp_path, monkeypatch,
+                                                 jobs, min_population, workers):
+        started = []
+
+        class RecordingPool:
+            """Runs in this process; records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(denguegp.cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "o"),
+                     "--model", "ar", "--first-target", "120", "--last-target", "121",
+                     "--jobs", jobs, "--min-population", min_population]) == 0
+        assert started == workers
+
     def test_min_population_filter_can_exclude_everything(self, sim_dir, tmp_path, capsys):
         assert main(["backtest", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x"),
@@ -362,6 +425,18 @@ class TestReportCommand:
     def test_report_before_backtest_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 2
         assert "backtest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["not json", "no overall"])
+    def test_broken_summary_exits_2(self, backtest_dir, tmp_path, capsys, broken):
+        summary = read_json(os.path.join(backtest_dir, "summary.json"))
+        del summary["overall"]
+        (tmp_path / "summary.json").write_text(
+            "{not json" if broken == "not json" else json.dumps(summary))
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "summary.json: " in err
+        assert ("not valid JSON" if broken == "not json" else "KeyError 'overall'") in err
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +490,7 @@ class TestTrainForecast:
     def test_overflowing_forecast_exits_3(self, sim_dir, trained_dir, tmp_path, capsys,
                                           monkeypatch):
         shutil.copy(os.path.join(trained_dir, "model_C001.json"), tmp_path)
-        monkeypatch.setattr(denguegp.cli, "predict",
+        monkeypatch.setattr(denguegp.evaluation, "predict",
                             lambda model, week, x: PredictiveDistribution(1e6, 0.01))
         assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(tmp_path),
                      "--city", "C001"]) == 3
@@ -460,6 +535,13 @@ class TestTrainForecast:
                      "--city", "C001"]) == 2
         assert "model_C001.json" in capsys.readouterr().err
         assert not (tmp_path / "prediction_C001.csv").exists()
+
+    def test_saved_model_that_is_not_json_exits_2(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "model_C001.json").write_text('{"city_id": "C001", ')
+        assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(tmp_path),
+                     "--city", "C001"]) == 2
+        assert "model_C001.json: not valid JSON" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["model_C001.json"]
 
     def test_forecast_after_data_edit_exits_2(self, sim_dir, trained_dir, tmp_path,
                                               capsys):

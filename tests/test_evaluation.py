@@ -19,12 +19,12 @@ from denguegp.data import WeeklySeries
 from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
                                  MODELS, BacktestReport, CityData, ForecastRow,
                                  ProtocolConfig, band_auc, aggregate_reports,
-                                 build_design, pearson, query_row,
-                                 run_backtest, to_natural)
+                                 build_design, gp_forecast, pearson, query_row,
+                                 run_backtest, target_weeks, to_natural)
 from denguegp.gp import ModelFitError, PredictiveDistribution, fit, predict
 from denguegp.hyperopt import OptimizerConfig
 from denguegp.kernels import KernelHyperparameters
-from denguegp.preprocess import LAG_MIN, remove_additive_outliers
+from denguegp.preprocess import LAG_MIN, TransformState, remove_additive_outliers
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
 
@@ -190,6 +190,46 @@ class TestToNatural:
         # expm1(709) is finite, its upper bound expm1(709 + 1.96) is not
         with pytest.raises(ModelFitError, match="overflows"):
             to_natural(log_pred, variance)
+
+
+class TestGpForecast:
+    def test_adds_the_response_mean_before_to_natural(self, monkeypatch):
+        seen = []
+
+        def stub_predict(model, week, x):
+            seen.append((model, week, x))
+            return PredictiveDistribution(0.25, 0.04)
+
+        monkeypatch.setattr(evaluation, "predict", stub_predict)
+        state = TransformState(1.5, (0.0,) * 3, (1.0,) * 3, (4, 4, 4))
+        assert gp_forecast("model", 120, "x", state) == to_natural(1.75, 0.04)
+        assert seen == [("model", 120, "x")]
+
+
+class TestTargetWeeks:
+    def test_range_runs_through_the_last_target(self):
+        assert target_weeks(("gp",), ProtocolConfig(last_target=110), 1, 150) == range(105, 111)
+        assert target_weeks(MODELS, ProtocolConfig(), 1, 150) == range(105, 151)
+
+    @pytest.mark.parametrize("models, first_target, message", [
+        (("gp",), 41, None), (("gp",), 40, "model gp needs at least 37"),
+        (("ar",), 24, None), (("ar",), 23, "model ar needs at least 20"),
+        (("ar", "lm"), 40, "model lm needs at least 37")])
+    def test_first_view_must_fit_every_model(self, models, first_target, message):
+        protocol = ProtocolConfig(first_target=first_target)
+        if message is None:
+            assert target_weeks(models, protocol, 1, 150)[0] == first_target
+        else:
+            with pytest.raises(ValueError, match=message):
+                target_weeks(models, protocol, 1, 150)
+
+    @pytest.mark.parametrize("first_target, last_target, start_week", [
+        (151, None, 1), (105, 151, 1), (105, 110, 2)])
+    def test_series_must_reach_both_targets_from_week_1(self, first_target, last_target,
+                                                       start_week):
+        protocol = ProtocolConfig(first_target=first_target, last_target=last_target)
+        with pytest.raises(ValueError, match="must cover"):
+            target_weeks(("ar",), protocol, start_week, 150)
 
 
 class TestConfigValidation:

@@ -72,6 +72,9 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            OptimizerConfig(seed=-1)
+        assert OptimizerConfig(seed=0).seed == 0
 
 
 class TestOptimize:
