@@ -362,7 +362,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     summary = _read_json(summary_path, "backtest")
-    # every row is read before the first file is written
+    # every summary and forecast row is read and checked before the first
+    # file is written
     with _input_error("invalid summary", file=summary_path):
         models = summary["models"]
         scatter = [(metric, a, b, cid, _fmt(city[a][metric]), _fmt(city[b][metric]))
@@ -376,25 +377,31 @@ def cmd_report(cfg: RunConfig) -> int:
                    for region, block in blocks for m in models for metric in _METRICS
                    if (q := block[m][metric]) is not None]
 
+    trajectories = []
+    for name in sorted(os.listdir(cfg.out_dir)):
+        if not (name.startswith("forecast_") and name.endswith(".csv")):
+            continue
+        path = os.path.join(cfg.out_dir, name)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if not rows or tuple(rows[0]) != FORECAST_HEADER:
+            continue
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != len(FORECAST_HEADER):
+                raise DataValidationError(f"expected {len(FORECAST_HEADER)} fields, "
+                                          f"found {len(row)}", file=path, line=line)
+        trajectories.append(("trajectory_" + name[len("forecast_"):],
+                             [(r[0], r[1], r[2], r[4], r[5]) for r in rows[1:]]))
+
     _write_csv(os.path.join(cfg.out_dir, "scatter.csv"),
                ("metric", "model_a", "model_b", "city_id", "value_a", "value_b"), scatter)
     _write_csv(os.path.join(cfg.out_dir, "boxplot.csv"),
                ("region", "model", "metric", "q1", "median", "q3", "n"), boxplot)
+    for name, rows in trajectories:
+        _write_csv(os.path.join(cfg.out_dir, name),
+                   ("target_week", "actual_dir", "predicted_dir", "lower95", "upper95"), rows)
 
-    n_trajectories = 0
-    for name in sorted(os.listdir(cfg.out_dir)):
-        if not (name.startswith("forecast_") and name.endswith(".csv")):
-            continue
-        with open(os.path.join(cfg.out_dir, name), newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or tuple(rows[0]) != FORECAST_HEADER:
-            continue
-        _write_csv(os.path.join(cfg.out_dir, "trajectory_" + name[len("forecast_"):]),
-                   ("target_week", "actual_dir", "predicted_dir", "lower95", "upper95"),
-                   ((row[0], row[1], row[2], row[4], row[5]) for row in rows[1:]))
-        n_trajectories += 1
-
-    print(f"wrote scatter.csv, boxplot.csv and {n_trajectories} trajectory files "
+    print(f"wrote scatter.csv, boxplot.csv and {len(trajectories)} trajectory files "
           f"to {cfg.out_dir}")
     return 0
 

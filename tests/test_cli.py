@@ -439,6 +439,18 @@ class TestReportCommand:
         assert os.listdir(tmp_path) == ["summary.json"]
 
 
+    def test_short_forecast_row_exits_2_and_writes_nothing(self, backtest_dir, tmp_path,
+                                                           capsys):
+        for name in os.listdir(backtest_dir):
+            if name == "summary.json" or name.startswith("forecast_"):
+                shutil.copy(os.path.join(backtest_dir, name), tmp_path / name)
+        header = ",".join(read_csv(os.path.join(backtest_dir, "forecast_C001_gp.csv"))[0])
+        (tmp_path / "forecast_C001_gp.csv").write_text(header + "\n105,1.0\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        assert "forecast_C001_gp.csv:2: expected 7 fields, found 2" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
 @pytest.fixture(scope="module")
 def trained_dir(sim_dir, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("trained"))

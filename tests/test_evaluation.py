@@ -447,6 +447,19 @@ class TestBacktestProtocol:
         with pytest.raises(ValueError, match="lag selection for humidity_pct"):
             build_design(flat.training_view(gaps[0] - protocol.horizon))
 
+    @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
+    def test_constant_climate_column_is_a_gap_whatever_its_rounding(self, monkeypatch,
+                                                                   value):
+        # np.std of these columns is not exactly 0; gp and lm still get gaps
+        city = synthetic_city(SynthSpec(weeks=130, seed=18))
+        covariates = city.covariates.copy()
+        covariates[:, 2] = value
+        monkeypatch.setattr(evaluation, "optimize", StubOptimizer())
+        gp, lm, ar = run_backtest(make_city(city.dir_series.values, covariates), MODELS,
+                                  protocol=ProtocolConfig(first_target=105, last_target=110))
+        assert gp.n_failed == lm.n_failed == len(gp.rows) == 6
+        assert ar.n_failed == 0
+
     def test_models_share_one_preprocessing_per_origin(self, monkeypatch):
         city = synthetic_city(SynthSpec(weeks=130, seed=13))
         monkeypatch.setattr(evaluation, "optimize", StubOptimizer())

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from denguegp.data import WeeklySeries, compute_dir
-from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState, _fit_ar,
+from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState, _ar_design,
                                  _select_ar_order, log_transform,
                                  remove_additive_outliers, select_lag,
                                  standardize_covariates)
@@ -67,6 +67,14 @@ class TestStandardizeCovariates:
         with pytest.raises(ValueError, match="column 1"):
             standardize_covariates(cov)
 
+    @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
+    def test_constant_column_rejected_whatever_its_rounded_std(self, value):
+        # np.std of these columns is 2e-19..1.4e-14, not 0
+        cov = np.column_stack([np.arange(100.0), np.full(100, value)])
+        assert cov[:, 1].std() > 0
+        with pytest.raises(ValueError, match="column 1"):
+            standardize_covariates(cov)
+
     def test_bad_row_count(self):
         with pytest.raises(ValueError):
             standardize_covariates(np.ones((0, 2)))
@@ -75,12 +83,21 @@ class TestStandardizeCovariates:
 
 
 def brute_force_lag(covariate, target, n_train, lag_min=LAG_MIN, lag_max=LAG_MAX):
-    best_lag, best_abs = None, -np.inf
-    for lag in range(lag_min, lag_max + 1):
-        r = abs(np.corrcoef(covariate[: n_train - lag], target[lag:n_train])[0, 1])
-        if r > best_abs + 1e-15:
-            best_lag, best_abs = lag, r
-    return best_lag
+    """np.corrcoef per lag; the smallest lag within 1e-12 of the largest |r|."""
+    r = [abs(np.corrcoef(covariate[: n_train - lag], target[lag:n_train])[0, 1])
+         for lag in range(lag_min, lag_max + 1)]
+    return lag_min + next(i for i, v in enumerate(r) if v >= max(r) * (1.0 - 1e-12))
+
+
+def climate_scale_pair(rng, n, lag, noise_sd):
+    """A smooth covariate with mean about 25 and sd about 2, where sums
+    of raw products cancel most, and a target led by it at `lag`."""
+    u = np.zeros(n + lag)
+    for t in range(1, u.size):
+        u[t] = 0.8 * u[t - 1] + rng.normal(scale=0.6)
+    covariate = 25.0 + 2.0 * np.sin(2 * np.pi * np.arange(u.size) / 52.0) + u
+    target = 0.3 * (covariate[:n] - 25.0) + rng.normal(scale=noise_sd, size=n)
+    return covariate[lag:], target
 
 
 class TestSelectLag:
@@ -115,6 +132,48 @@ class TestSelectLag:
                             == brute_force_lag(climate[:end, d], target, end))
         assert np.mean(zero_shares) > 0.3
 
+    def test_matches_brute_force_on_climate_scale_covariates(self):
+        rng = np.random.default_rng(61)
+        lags = []
+        for _ in range(60):
+            n = int(rng.integers(37, 210))
+            covariate, target = climate_scale_pair(rng, n, int(rng.integers(4, 27)),
+                                                   rng.uniform(0.1, 3.0))
+            lag = select_lag(covariate, target)
+            assert lag == brute_force_lag(covariate, target, n)
+            lags.append(lag)
+        assert len(set(lags)) > 5
+
+    @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
+    def test_matches_brute_force_when_only_a_few_weeks_vary(self, value):
+        # flat but for the last 1, 2 or 5 weeks of the longest lag's
+        # overlap (the covariate) or its first weeks (the target), so that
+        # overlap is nearly flat and the one-pass sums cancel most
+        rng = np.random.default_rng(67)
+        n = 160
+        for varying in (1, 2, 5):
+            covariate = np.full(n, value)
+            covariate[n - LAG_MAX - varying:] += rng.normal(scale=0.01, size=LAG_MAX + varying)
+            target = rng.normal(size=n)
+            assert select_lag(covariate, target) == brute_force_lag(covariate, target, n)
+            target = np.full(n, value)
+            target[:LAG_MAX + varying] += rng.normal(scale=0.01, size=LAG_MAX + varying)
+            covariate = 25.0 + 2.0 * rng.normal(size=n)
+            assert select_lag(covariate, target) == brute_force_lag(covariate, target, n)
+
+    @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
+    def test_flat_overlap_rejected_whatever_its_rounded_variance(self, value):
+        # a one-pass or two-pass variance of these windows is not exactly 0
+        rng = np.random.default_rng(71)
+        flat = np.full(157, value)
+        noise = rng.normal(size=LAG_MAX)
+        with pytest.raises(ValueError, match="covariate is flat"):
+            select_lag(np.concatenate([flat, noise]), rng.normal(size=157 + LAG_MAX))
+        with pytest.raises(ValueError, match="target is flat"):
+            select_lag(rng.normal(size=157 + LAG_MAX), np.concatenate([noise, flat]))
+        with pytest.raises(ValueError, match="covariate is flat"):
+            select_lag(np.full(100, value), rng.normal(size=100))
+
     def test_zero_variance_overlap_rejected(self):
         # the covariate is flat over the overlap of the longest lag only
         rng = np.random.default_rng(53)
@@ -130,10 +189,15 @@ class TestSelectLag:
             select_lag(rng.normal(size=target.size), target)
 
     def test_exact_tie_breaks_to_smaller_lag(self):
-        # period-2 covariate makes |r| exactly 1 at every candidate lag
-        covariate = np.tile([1.0, -1.0], 75)
-        target = covariate.copy()
-        assert select_lag(covariate[:120], target[:120]) == LAG_MIN
+        # period-2 series make |r| exactly 1 at every candidate lag; the
+        # per-lag sums round differently, by more than 1e-15 at some
+        # offsets and lengths
+        for offset in (0.0, 0.1, 25.7, 1000.3):
+            for n in (37, 120, 157, 209):
+                covariate = offset + 2.0 * np.tile([1.0, -1.0], 105)[:n]
+                for target in (covariate, 0.5 * covariate - 3.0,
+                               np.log1p(np.tile([0.0, 3.0], 105)[:n])):
+                    assert select_lag(covariate, target) == LAG_MIN
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(23)
@@ -153,17 +217,44 @@ class TestSelectLag:
         assert select_lag(np.sin(np.arange(37.0)), np.cos(np.arange(37.0))) is not None
 
 
-def brute_force_outliers(values):
-    """Per-week t-ratio loop: one dot product per week for omega_t and
-    its denominator, and the earliest week within 1e-12 of the largest
-    |tau| as the worst.  Returns the patched values and flagged indices."""
+def reference_ar_fit(z, order, t0):
+    """lstsq of z_t on [1, z_{t-1}, ..., z_{t-order}] over t = t0..n-1;
+    returns (coefficients, fitted, residuals)."""
+    n = z.size
+    X = np.column_stack([np.ones(n - t0)] + [z[t0 - i:n - i] for i in range(1, order + 1)])
+    coef, *_ = np.linalg.lstsq(X, z[t0:], rcond=None)
+    fitted = X @ coef
+    return coef, fitted, z[t0:] - fitted
+
+
+def reference_ar_order(z, max_order=4):
+    """AIC over max_order separate lstsq fits on the common sample
+    t >= max_order; ties go to the lower order."""
+    n_eff = z.size - max_order
+    best_order, best_aic = 1, np.inf
+    for p in range(1, max_order + 1):
+        rss = float(np.sum(reference_ar_fit(z, p, max_order)[2] ** 2))
+        aic = n_eff * np.log(max(rss / n_eff, 1e-300)) + 2.0 * (p + 1)
+        if aic < best_aic:
+            best_order, best_aic = p, aic
+    return best_order
+
+
+def brute_force_outliers(values, rounds=None):
+    """Per-week t-ratio loop on the reference AR fits: one dot product
+    per week for omega_t and its denominator, np.median for the scale,
+    and the earliest week within 1e-12 of the largest |tau| as the
+    worst.  Returns the patched values and flagged indices; appends a
+    copy of each round's log series to `rounds` when given."""
     z = np.log1p(values.astype(float))
     flagged = []
     if np.ptp(z) == 0:
         return values.copy(), flagged
     for _ in range(10):
-        order = _select_ar_order(z)
-        coef, fitted, resid = _fit_ar(z, order)
+        if rounds is not None:
+            rounds.append(z.copy())
+        order = reference_ar_order(z)
+        coef, fitted, resid = reference_ar_fit(z, order, order)
         sigma = 1.4826 * float(np.median(np.abs(resid - np.median(resid))))
         if sigma == 0:
             sigma = float(np.std(resid))
@@ -187,6 +278,29 @@ def brute_force_outliers(values):
     for idx in flagged:
         out[idx] = max(np.expm1(z[idx]), 0.0)
     return out, flagged
+
+
+def spiked_ar_series():
+    """Forty AR(1) or AR(2) log series of 20-219 weeks with up to three
+    spikes, on the natural scale."""
+    rng = np.random.default_rng(59)
+    for i in range(40):
+        n = int(rng.integers(20, 220))
+        z = ar1_log_series(rng, n=n, phi=rng.uniform(-0.5, 0.9),
+                           noise_sd=rng.uniform(0.05, 0.5))
+        if i % 2:  # add an AR(2) term
+            z[2:] += 0.3 * (z[:-2] - z.mean())
+        spikes = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+        z[spikes] += rng.choice([-1.0, 1.0], size=spikes.size) * rng.uniform(1.0, 4.0, spikes.size)
+        yield np.expm1(np.abs(z))
+
+
+def low_incidence_windows():
+    """Leading windows of twelve quiet prior draws (DIR)."""
+    for seed in range(12):
+        dir_values, _ = low_incidence_dir(seed)
+        for end in (40, 101, 115, 152, 209):
+            yield dir_values[:end]
 
 
 def assert_matches_brute_force(values):
@@ -226,32 +340,30 @@ def exact_abs_tau_squared(z, coef, order, t):
 
 class TestRemoveAdditiveOutliers:
     def test_matches_brute_force_on_spiked_ar_series(self):
-        rng = np.random.default_rng(59)
-        n_flagged = 0
-        for i in range(40):
-            n = int(rng.integers(20, 220))
-            z = ar1_log_series(rng, n=n, phi=rng.uniform(-0.5, 0.9),
-                               noise_sd=rng.uniform(0.05, 0.5))
-            if i % 2:  # add an AR(2) term
-                z[2:] += 0.3 * (z[:-2] - z.mean())
-            spikes = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
-            z[spikes] += rng.choice([-1.0, 1.0], size=spikes.size) * rng.uniform(1.0, 4.0, spikes.size)
-            n_flagged += len(assert_matches_brute_force(np.expm1(np.abs(z))))
+        n_flagged = sum(len(assert_matches_brute_force(v)) for v in spiked_ar_series())
         assert n_flagged > 20
 
     def test_matches_brute_force_on_low_incidence_draws(self):
-        n_flagged = 0
-        for seed in range(12):
-            dir_values, _ = low_incidence_dir(seed)
-            for end in (40, 101, 115, 152, 209):
-                n_flagged += len(assert_matches_brute_force(dir_values[:end]))
+        n_flagged = sum(len(assert_matches_brute_force(v)) for v in low_incidence_windows())
         assert n_flagged > 50
+
+    @pytest.mark.parametrize("draws", [spiked_ar_series, low_incidence_windows])
+    def test_ar_order_matches_separate_lstsq_fits(self, draws):
+        # every round's log series of the reference screen
+        orders = []
+        for values in draws():
+            rounds = []
+            brute_force_outliers(values, rounds)
+            for z in rounds:
+                orders.append(reference_ar_order(z))
+                assert _select_ar_order(_ar_design(z)) == orders[-1]
+        assert len(set(orders)) > 1
 
     def test_exact_tie_flags_earlier_week_first(self):
         dir_values = compute_dir(WeeklySeries("c1", 1, TIE_COUNTS), 200000).values
         z = np.log1p(dir_values)
-        order = _select_ar_order(z)
-        coef, _, _ = _fit_ar(z, order)
+        order = _select_ar_order(_ar_design(z))
+        coef, _, _ = reference_ar_fit(z, order, order)
         assert order == 1
         assert (exact_abs_tau_squared(z, coef, order, 51)
                 == exact_abs_tau_squared(z, coef, order, 61)
