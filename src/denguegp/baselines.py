@@ -2,8 +2,8 @@
 
 Two deliberately simple comparators: an ordinary least squares fit on the
 lagged standardized climate covariates, and an AR(1) refit each week on a
-short sliding window with the 4-week forecast obtained by iterating the
-one-step map.  Both take plain arrays built from the same training view
+short sliding window with the forecast at the protocol horizon obtained
+by iterating the one-step map.  Both take plain arrays built from the same training view
 and log-scale response as the main model, and fit on all they are given.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 AR_WINDOW_WEEKS = 12
-FORECAST_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,9 @@ def ar_fit(log_values: np.ndarray) -> ARModelState:
     return ARModelState(phi=float(coef[1]), intercept=float(coef[0]))
 
 
-def ar_forecast4(state: ARModelState, last_observed: float) -> float:
-    """Iterate y <- intercept + phi * y four times from last_observed."""
+def ar_forecast(state: ARModelState, last_observed: float, steps: int) -> float:
+    """Iterate y <- intercept + phi * y steps times from last_observed."""
     y = float(last_observed)
-    for _ in range(FORECAST_STEPS):
+    for _ in range(steps):
         y = state.intercept + state.phi * y
     return y

@@ -34,7 +34,7 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .data import DataValidationError, _format_number, load_dataset
+from .data import DataValidationError, _format_number, load_dataset, write_csv
 from .evaluation import (_METRICS, MODELS, CityData, ForecastRow, ProtocolConfig,
                          aggregate_reports, build_design, gp_forecast, query_row,
                          run_backtest, target_weeks)
@@ -148,11 +148,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _load(cfg: RunConfig):
-    return load_dataset(*(os.path.join(cfg.data_dir, f"{name}.csv")
-                          for name in ("cases", "population", "climate", "stations", "cities")))
-
-
 def _read_json(path: str, command: str):
     """Load a JSON file that the given command writes."""
     try:
@@ -174,17 +169,10 @@ def _fmt(v) -> str:
     return "" if v is None else _format_number(v)
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _write_forecast_csv(path: str, rows, model: str):
-    _write_csv(path, FORECAST_HEADER,
-               ((r.target_week, _fmt(r.actual_dir), _fmt(r.predicted_dir), _fmt(r.sd),
-                 _fmt(r.lower95), _fmt(r.upper95), model) for r in rows))
+    write_csv(path, FORECAST_HEADER,
+              ((r.target_week, _fmt(r.actual_dir), _fmt(r.predicted_dir), _fmt(r.sd),
+                _fmt(r.lower95), _fmt(r.upper95), model) for r in rows))
 
 
 def _trained_city(cfg: RunConfig, ds) -> CityData:
@@ -203,7 +191,7 @@ def _design(cfg: RunConfig, ds, view):
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    ds = _load(cfg)
+    ds = load_dataset(cfg.data_dir)
     summary = ds.summary()
     _write_json(os.path.join(cfg.out_dir, "dataset_summary.json"), summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -211,7 +199,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    ds = _load(cfg)
+    ds = load_dataset(cfg.data_dir)
     city = _trained_city(cfg, ds)
     if city.dir_series.n_weeks < 104:
         raise DataValidationError(
@@ -238,7 +226,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
-    ds = _load(cfg)
+    ds = load_dataset(cfg.data_dir)
     city = _trained_city(cfg, ds)
     model_path = os.path.join(cfg.out_dir, f"model_{cfg.city}.json")
     payload = _read_json(model_path, "train")
@@ -259,15 +247,14 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise DataValidationError(
             f"saved transform does not match the data through week {end}; "
             "train again on this data", file=model_path)
-    if cfg.horizon > min(state.lags):
-        raise DataValidationError(
-            f"horizon {cfg.horizon} exceeds the shortest covariate lag {min(state.lags)}")
+    targets = range(end + 1, end + cfg.horizon + 1)
+    with _input_error(f"bad setting value: horizon {cfg.horizon}"):
+        queries = [query_row(view, state, t) for t in targets]
 
     model = fit(weeks, X, y, h)
-
     rows = [ForecastRow(t, city.actual_dir(t) if t <= city.dir_series.end_week else None,
-                        *gp_forecast(model, t, query_row(view, state, t), state))
-            for t in range(end + 1, end + cfg.horizon + 1)]
+                        *gp_forecast(model, t, x, state))
+            for t, x in zip(targets, queries)]
 
     out_path = os.path.join(cfg.out_dir, f"prediction_{cfg.city}.csv")
     _write_forecast_csv(out_path, rows, "gp")
@@ -285,7 +272,7 @@ def _city_worker(task):
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
-    ds = _load(cfg)
+    ds = load_dataset(cfg.data_dir)
     models = MODELS if cfg.model == "all" else (cfg.model,)
     with _input_error("bad setting value"):
         if cfg.jobs < 1:
@@ -393,13 +380,13 @@ def cmd_report(cfg: RunConfig) -> int:
         trajectories.append(("trajectory_" + name[len("forecast_"):],
                              [(r[0], r[1], r[2], r[4], r[5]) for r in rows[1:]]))
 
-    _write_csv(os.path.join(cfg.out_dir, "scatter.csv"),
-               ("metric", "model_a", "model_b", "city_id", "value_a", "value_b"), scatter)
-    _write_csv(os.path.join(cfg.out_dir, "boxplot.csv"),
-               ("region", "model", "metric", "q1", "median", "q3", "n"), boxplot)
+    write_csv(os.path.join(cfg.out_dir, "scatter.csv"),
+              ("metric", "model_a", "model_b", "city_id", "value_a", "value_b"), scatter)
+    write_csv(os.path.join(cfg.out_dir, "boxplot.csv"),
+              ("region", "model", "metric", "q1", "median", "q3", "n"), boxplot)
     for name, rows in trajectories:
-        _write_csv(os.path.join(cfg.out_dir, name),
-                   ("target_week", "actual_dir", "predicted_dir", "lower95", "upper95"), rows)
+        write_csv(os.path.join(cfg.out_dir, name),
+                  ("target_week", "actual_dir", "predicted_dir", "lower95", "upper95"), rows)
 
     print(f"wrote scatter.csv, boxplot.csv and {len(trajectories)} trajectory files "
           f"to {cfg.out_dir}")

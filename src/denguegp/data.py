@@ -1,7 +1,8 @@
 """CSV ingestion and the immutable in-memory data model.
 
-Five input files describe a study: weekly case counts per city, a single
-population figure per city, city coordinates and regions, weather-station
+Five CSV files in one directory describe a study (BUNDLE gives their
+names and headers): city coordinates and regions, a single population
+figure per city, weekly case counts per city, weather-station
 coordinates, and weekly station climate (rainfall mm, temperature C,
 relative humidity %).  Loading validates schemas, aligns every city to a
 common week window, fills isolated climate gaps, and assigns each city to
@@ -22,6 +23,15 @@ REGIONS = ("North", "Northeast", "Southeast", "South", "CenterWest", "Other")
 EARTH_RADIUS_KM = 6371.0
 
 CLIMATE_COLUMNS = ("rainfall_mm", "temperature_c", "humidity_pct")
+
+# the input bundle: file name -> header, in the order load_dataset reads them
+BUNDLE = {
+    "cities.csv": ("city_id", "name", "region", "lat", "lon"),
+    "population.csv": ("city_id", "population"),
+    "cases.csv": ("city_id", "week", "cases"),
+    "stations.csv": ("station_id", "lat", "lon"),
+    "climate.csv": ("station_id", "week") + CLIMATE_COLUMNS,
+}
 
 
 class DataValidationError(ValueError):
@@ -215,7 +225,10 @@ def compute_dir(cases: WeeklySeries, population: int) -> WeeklySeries:
     return WeeklySeries(cases.city_id, cases.start_week, cases.values * 1e5 / population)
 
 
-def _read_rows(path: str, header: tuple) -> list:
+def _read_rows(path: str) -> list:
+    """(line, cells) for each data row of a bundle file, after checking
+    its header against BUNDLE."""
+    header = BUNDLE[os.path.basename(path)]
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -259,6 +272,15 @@ def _parse_float(text: str, what: str, path: str, line: int) -> float:
     return v
 
 
+def _parse_coordinates(lat: str, lon: str, path: str, line: int) -> tuple:
+    coords = (_parse_float(lat, "lat", path, line), _parse_float(lon, "lon", path, line))
+    for what, v, bound in zip(("lat", "lon"), coords, (90, 180)):
+        if not -bound <= v <= bound:
+            raise DataValidationError(f"{what} must lie in [-{bound}, {bound}], got {v!r}",
+                                      file=path, line=line)
+    return coords
+
+
 def _contiguous_series(by_week: dict, what: str, path: str) -> tuple:
     """(start_week, values asc by week); errors on gaps."""
     weeks = sorted(by_week)
@@ -282,18 +304,19 @@ def _fill_climate_gaps(column: np.ndarray) -> np.ndarray:
     return np.interp(idx, idx[known], column[known])
 
 
-def load_dataset(cases_path: str, population_path: str, climate_path: str,
-                 stations_path: str, cities_path: str) -> Dataset:
-    """Read and cross-validate the five input files.
+def load_dataset(data_dir: str) -> Dataset:
+    """Read and cross-validate the five BUNDLE files in data_dir.
 
     All cities must share one contiguous case window; every station must
     cover that window with contiguous climate rows (blank climate cells
     are filled by interpolation).  Each city is assigned its nearest
     station.
     """
-    # cities.csv: city_id,name,region,lat,lon
+    cities_path, population_path, cases_path, stations_path, climate_path = (
+        os.path.join(data_dir, name) for name in BUNDLE)
+
     city_rows = {}
-    for line, row in _read_rows(cities_path, ("city_id", "name", "region", "lat", "lon")):
+    for line, row in _read_rows(cities_path):
         cid, name, region, lat, lon = row
         if cid in city_rows:
             raise DataValidationError(f"duplicate city {cid!r}", file=cities_path, line=line)
@@ -301,13 +324,10 @@ def load_dataset(cases_path: str, population_path: str, climate_path: str,
             raise DataValidationError(
                 f"region must be one of {', '.join(REGIONS)}, got {region!r}",
                 file=cities_path, line=line)
-        city_rows[cid] = (name, region,
-                          _parse_float(lat, "lat", cities_path, line),
-                          _parse_float(lon, "lon", cities_path, line), line)
+        city_rows[cid] = (name, region) + _parse_coordinates(lat, lon, cities_path, line)
 
-    # population.csv: city_id,population
     populations = {}
-    for line, row in _read_rows(population_path, ("city_id", "population")):
+    for line, row in _read_rows(population_path):
         cid, pop = row
         if cid in populations:
             raise DataValidationError(f"duplicate city {cid!r}", file=population_path, line=line)
@@ -317,15 +337,14 @@ def load_dataset(cases_path: str, population_path: str, climate_path: str,
         populations[cid] = p
 
     cities = {}
-    for cid, (name, region, lat, lon, line) in city_rows.items():
+    for cid, (name, region, lat, lon) in city_rows.items():
         if cid not in populations:
             raise DataValidationError(f"city {cid!r} has no population entry",
                                       file=population_path)
         cities[cid] = CityRecord(cid, name, region, lat, lon, populations[cid])
 
-    # cases.csv: city_id,week,cases
     counts = {}
-    for line, row in _read_rows(cases_path, ("city_id", "week", "cases")):
+    for line, row in _read_rows(cases_path):
         cid, week, value = row
         w = _parse_int(week, "week", cases_path, line)
         if w < 1:
@@ -359,21 +378,18 @@ def load_dataset(cases_path: str, population_path: str, climate_path: str,
         if cid not in cases:
             raise DataValidationError(f"city {cid!r} has no case rows", file=cases_path)
 
-    # stations.csv: station_id,lat,lon
     station_coords = {}
-    for line, row in _read_rows(stations_path, ("station_id", "lat", "lon")):
+    for line, row in _read_rows(stations_path):
         sid, lat, lon = row
         if sid in station_coords:
             raise DataValidationError(f"duplicate station {sid!r}", file=stations_path, line=line)
-        station_coords[sid] = (_parse_float(lat, "lat", stations_path, line),
-                               _parse_float(lon, "lon", stations_path, line))
+        station_coords[sid] = _parse_coordinates(lat, lon, stations_path, line)
     if not station_coords:
         raise DataValidationError("no stations", file=stations_path)
 
-    # climate.csv: station_id,week,rainfall_mm,temperature_c,humidity_pct
-    # Blank cells are allowed and filled after the weeks are assembled.
+    # blank climate cells are allowed and filled after the weeks are assembled
     climate_rows = {}
-    for line, row in _read_rows(climate_path, ("station_id", "week") + CLIMATE_COLUMNS):
+    for line, row in _read_rows(climate_path):
         sid, week = row[0], row[1]
         if sid not in station_coords:
             raise DataValidationError(f"climate rows for unknown station {sid!r}",
@@ -422,52 +438,32 @@ def _format_number(v: float) -> str:
     return repr(float(v))
 
 
-def save_dataset(ds: Dataset, out_dir: str) -> dict:
-    """Write the five-file CSV bundle; returns the path of each file.
+def write_csv(path: str, header, rows):
+    """Write a header and rows as UTF-8 CSV; every CSV the program writes
+    goes through here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def save_dataset(ds: Dataset, out_dir: str):
+    """Write the five BUNDLE files into out_dir.
 
     Inverse of load_dataset up to climate gap filling (saved files have
     no blank cells).
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {name: os.path.join(out_dir, f"{name}.csv")
-             for name in ("cases", "population", "climate", "stations", "cities")}
-
-    with open(paths["cases"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("city_id", "week", "cases"))
-        for cid in sorted(ds.cases):
-            s = ds.cases[cid]
-            for i, v in enumerate(s.values):
-                w.writerow((cid, s.start_week + i, int(round(v))))
-
-    with open(paths["population"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("city_id", "population"))
-        for cid in sorted(ds.cities):
-            w.writerow((cid, ds.cities[cid].population))
-
-    with open(paths["cities"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("city_id", "name", "region", "lat", "lon"))
-        for cid in sorted(ds.cities):
-            c = ds.cities[cid]
-            w.writerow((cid, c.name, c.region, _format_number(c.latitude),
-                        _format_number(c.longitude)))
-
-    with open(paths["stations"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("station_id", "lat", "lon"))
-        for sid in sorted(ds.stations):
-            s = ds.stations[sid]
-            w.writerow((sid, _format_number(s.latitude), _format_number(s.longitude)))
-
-    with open(paths["climate"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("station_id", "week") + CLIMATE_COLUMNS)
-        for sid in sorted(ds.stations):
-            s = ds.stations[sid]
-            for i in range(s.climate.shape[0]):
-                w.writerow((sid, s.start_week + i) +
-                           tuple(_format_number(v) for v in s.climate[i]))
-
-    return paths
+    cities, stations = sorted(ds.cities.items()), sorted(ds.stations.items())
+    bodies = (  # in BUNDLE order
+        ((cid, c.name, c.region, _format_number(c.latitude), _format_number(c.longitude))
+         for cid, c in cities),
+        ((cid, c.population) for cid, c in cities),
+        ((cid, s.start_week + i, int(round(v)))
+         for cid, s in sorted(ds.cases.items()) for i, v in enumerate(s.values)),
+        ((sid, _format_number(s.latitude), _format_number(s.longitude)) for sid, s in stations),
+        ((sid, s.start_week + i) + tuple(_format_number(v) for v in row)
+         for sid, s in stations for i, row in enumerate(s.climate)),
+    )
+    for (name, header), rows in zip(BUNDLE.items(), bodies):
+        write_csv(os.path.join(out_dir, name), header, rows)

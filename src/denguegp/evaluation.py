@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import ar_fit, ar_forecast4, lm_fit, lm_predict
+from .baselines import ar_fit, ar_forecast, lm_fit, lm_predict
 from .data import CLIMATE_COLUMNS, Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
@@ -123,11 +123,6 @@ class TrainingView:
         cleaned, flagged = remove_additive_outliers(self.dir_values)
         return log_transform(cleaned), tuple(self.start_week + i for i in flagged)
 
-    def covariate_at(self, week: int) -> np.ndarray:
-        if not self.start_week <= week <= self.end_week:
-            raise IndexError(f"week {week} outside the view")
-        return self.covariates[week - self.start_week]
-
 
 @dataclass(frozen=True)
 class CityData:
@@ -212,11 +207,15 @@ def build_design(view: TrainingView):
 def query_row(view: TrainingView, state: TransformState, target_week: int) -> np.ndarray:
     """Standardized lagged covariates for one target week.
 
-    Lags are at least as long as the protocol horizon, so every value
-    needed here sits inside the training view.
+    Raises ValueError unless every lagged week lies inside the view, as
+    it does whenever no lag is shorter than the gap from the view's end
+    to the target.
     """
-    raw = np.array([view.covariate_at(target_week - lag)[d]
-                    for d, lag in enumerate(state.lags)])
+    rows = target_week - np.array(state.lags) - view.start_week
+    if rows.min() < 0 or rows.max() >= view.dir_values.size:
+        raise ValueError(f"target week {target_week} needs covariates outside the view "
+                         f"{view.start_week}..{view.end_week} (lags {state.lags})")
+    raw = view.covariates[rows, np.arange(rows.size)]
     return (raw - np.array(state.covariate_means)) / np.array(state.covariate_stds)
 
 
@@ -228,7 +227,7 @@ def to_natural(log_pred: float, variance: float | None = None) -> tuple:
     the 95% interval expm1(log_pred -/+ 1.96 sd) clamped at zero.
     Without a variance the last three are None.  A number that leaves
     the float range raises ModelFitError: an explosive AR window (slope
-    above 1), for one, can push the 4-step log prediction past it, and
+    above 1), for one, can push the multi-step log prediction past it, and
     a forecast of inf is not a number to score.
     """
     with np.errstate(over="ignore"):
@@ -317,7 +316,8 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
             try:
                 if m == "ar":
                     log_values, _ = view.log_series
-                    forecast = to_natural(ar_forecast4(ar_fit(log_values), log_values[-1]))
+                    forecast = to_natural(ar_forecast(ar_fit(log_values), log_values[-1],
+                                                      protocol.horizon))
                 elif x_query is None:
                     pass  # no design at this origin: a gap for gp and lm
                 elif m == "lm":

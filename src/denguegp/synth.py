@@ -181,15 +181,9 @@ def make_multi_city_fixture(out_dir: str, n_cities: int, variations=None,
     assignments = {cid: nearest_station(cities[cid], ordered) for cid in sorted(cities)}
     ds = Dataset(cities=cities, cases=cases, stations=stations, assignments=assignments)
 
-    paths = save_dataset(ds, out_dir)
+    save_dataset(ds, out_dir)
     with open(os.path.join(out_dir, "synth_spec.json"), "w", encoding="utf-8") as fh:
         json.dump({cid: dataclasses.asdict(s) for cid, s in specs.items()}, fh,
                   indent=2, sort_keys=True)
 
-    return load_dataset(
-        cases_path=paths["cases"],
-        population_path=paths["population"],
-        climate_path=paths["climate"],
-        stations_path=paths["stations"],
-        cities_path=paths["cities"],
-    )
+    return load_dataset(out_dir)

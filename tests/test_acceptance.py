@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from denguegp.baselines import ARModelState, ar_forecast4, lm_fit
+from denguegp.baselines import ARModelState, ar_forecast, lm_fit
 from denguegp.cli import main
 from denguegp.data import WeeklySeries
 from denguegp.evaluation import (CityData, ProtocolConfig, band_auc, pearson,
@@ -257,7 +257,7 @@ class TestAcceptance:
             c = float(rng.normal())
             y0 = float(rng.normal(scale=3.0))
             closed = phi ** 4 * y0 + c * (1 + phi + phi ** 2 + phi ** 3)
-            got = ar_forecast4(ARModelState(phi, c), y0)
+            got = ar_forecast(ARModelState(phi, c), y0, 4)
             worst_ar = max(worst_ar, abs(got - closed) / max(abs(closed), 1.0))
 
         worst_lm = 0.0

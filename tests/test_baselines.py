@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from denguegp.baselines import (AR_WINDOW_WEEKS, ARModelState,
-                                LinearModelState, ar_fit, ar_forecast4,
+                                LinearModelState, ar_fit, ar_forecast,
                                 lm_fit, lm_predict)
 
 # iterating y <- c + phi*y four times from y0, closed form
@@ -138,7 +138,7 @@ class TestArFit:
 
 class TestArForecast4:
     def test_closed_form_example(self):
-        got = ar_forecast4(ARModelState(phi=0.5, intercept=1.0), last_observed=2.0)
+        got = ar_forecast(ARModelState(phi=0.5, intercept=1.0), last_observed=2.0, steps=4)
         assert_allclose(got, AR_ITERATED_EXAMPLE, rtol=1e-12)
 
     def test_matches_geometric_closed_form(self):
@@ -148,15 +148,21 @@ class TestArForecast4:
             c = float(rng.normal())
             y0 = float(rng.normal())
             expected = phi ** 4 * y0 + c * (1 + phi + phi ** 2 + phi ** 3)
-            assert_allclose(ar_forecast4(ARModelState(phi, c), y0), expected, rtol=1e-12, atol=1e-12)
+            assert_allclose(ar_forecast(ARModelState(phi, c), y0, 4), expected, rtol=1e-12, atol=1e-12)
+
+    def test_steps_count_the_iterations(self):
+        state = ARModelState(phi=0.5, intercept=1.0)
+        assert ar_forecast(state, 2.0, 1) == 2.0
+        assert ar_forecast(state, 6.0, 1) == 4.0
+        assert ar_forecast(state, 6.0, 2) == 3.0
 
     def test_random_walk_returns_last_value(self):
-        assert ar_forecast4(ARModelState(phi=1.0, intercept=0.0), 7.25) == 7.25
+        assert ar_forecast(ARModelState(phi=1.0, intercept=0.0), 7.25, 4) == 7.25
 
     def test_zero_phi_returns_intercept(self):
-        assert ar_forecast4(ARModelState(phi=0.0, intercept=3.5), 100.0) == 3.5
+        assert ar_forecast(ARModelState(phi=0.0, intercept=3.5), 100.0, 4) == 3.5
 
     def test_monotone_in_last_observed_for_positive_phi(self):
         state = ARModelState(phi=0.7, intercept=0.3)
-        values = [ar_forecast4(state, y0) for y0 in (-2.0, 0.0, 1.0, 5.0)]
+        values = [ar_forecast(state, y0, 4) for y0 in (-2.0, 0.0, 1.0, 5.0)]
         assert values == sorted(values)

@@ -14,7 +14,7 @@ import denguegp
 import denguegp.cli
 import denguegp.evaluation
 from denguegp.cli import (FORECAST_HEADER, build_parser, main, resolve_config)
-from denguegp.data import DataValidationError, load_dataset
+from denguegp.data import BUNDLE, DataValidationError, load_dataset, save_dataset
 from denguegp.evaluation import CityData, build_design
 from denguegp.gp import PredictiveDistribution
 from denguegp.hyperopt import MIN_TRAINING_POINTS
@@ -49,8 +49,8 @@ def read_json(path):
 def copy_bundle(src, dst):
     """Copy the five input CSVs of a fixture into a new directory."""
     dst.mkdir()
-    for name in ("cases", "population", "climate", "stations", "cities"):
-        shutil.copy(os.path.join(src, f"{name}.csv"), dst)
+    for name in BUNDLE:
+        shutil.copy(os.path.join(src, name), dst)
     return dst
 
 
@@ -133,9 +133,15 @@ class TestConfigResolution:
 
 class TestSimulate:
     def test_writes_loadable_bundle(self, sim_dir):
-        for name in ("cases", "population", "climate", "stations", "cities"):
-            assert os.path.exists(os.path.join(sim_dir, f"{name}.csv"))
+        for name in BUNDLE:
+            assert os.path.exists(os.path.join(sim_dir, name))
         assert os.path.exists(os.path.join(sim_dir, "synth_spec.json"))
+
+    def test_bundle_round_trips_byte_for_byte(self, sim_dir, tmp_path):
+        save_dataset(load_dataset(sim_dir), str(tmp_path / "saved"))
+        for name in BUNDLE:
+            assert (read_bytes(os.path.join(tmp_path, "saved", name))
+                    == read_bytes(os.path.join(sim_dir, name)))
 
     def test_deterministic_across_runs(self, sim_dir, tmp_path):
         again = str(tmp_path / "again")
@@ -188,6 +194,22 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "cases.csv:4" in err
         assert "cases must be >= 0" in err
+
+    @pytest.mark.parametrize("name", ["cities.csv", "stations.csv"])
+    def test_latitude_out_of_range_exits_2_with_location(self, sim_dir, tmp_path, capsys,
+                                                          name):
+        broken = copy_bundle(sim_dir, tmp_path / "broken")
+        rows = read_csv(broken / name)
+        lat = rows[0].index("lat")
+        rows[1][lat] = "-95"
+        with open(broken / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+
+        out = tmp_path / "o"
+        assert main(["ingest", "--data-dir", str(broken), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}:2: lat must lie in [-90, 90], got -95.0" in err
+        assert not out.exists()
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["ingest", "--data-dir", str(tmp_path / "void"),
@@ -287,8 +309,7 @@ class TestBacktestCommand:
         assert main(["backtest", "--data-dir", data, "--out-dir", out, "--model", "gp",
                      "--restarts", "1", "--first-target", "45", "--last-target", "75"]) == 0
         assert read_json(os.path.join(out, "summary.json"))["failures"] == {}
-        ds = load_dataset(*(os.path.join(data, f"{name}.csv") for name in
-                            ("cases", "population", "climate", "stations", "cities")))
+        ds = load_dataset(data)
         for cid in ("C001", "C002"):
             city = CityData.from_dataset(ds, cid)
             rows = read_csv(os.path.join(out, f"forecast_{cid}_gp.csv"))[1:]
@@ -499,6 +520,18 @@ class TestTrainForecast:
         assert "bad setting value" in capsys.readouterr().err
         assert not (out / "prediction_C001.csv").exists()
 
+    def test_forecast_past_the_shortest_lag_exits_2(self, sim_dir, trained_dir, tmp_path,
+                                                    capsys):
+        lags = read_json(os.path.join(trained_dir, "model_C001.json"))["transform"]["lags"]
+        out = tmp_path / "f"
+        out.mkdir()
+        shutil.copy(os.path.join(trained_dir, "model_C001.json"), out)
+        assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(out),
+                     "--city", "C001", "--horizon", str(min(lags) + 1)]) == 2
+        err = capsys.readouterr().err
+        assert "bad setting value" in err and "outside the view" in err
+        assert os.listdir(out) == ["model_C001.json"]
+
     def test_overflowing_forecast_exits_3(self, sim_dir, trained_dir, tmp_path, capsys,
                                           monkeypatch):
         shutil.copy(os.path.join(trained_dir, "model_C001.json"), tmp_path)
@@ -518,6 +551,15 @@ class TestTrainForecast:
         assert main(["train", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "--city" in capsys.readouterr().err
+
+    def test_train_on_fewer_than_104_weeks_exits_2(self, tmp_path, capsys):
+        data, out = str(tmp_path / "d"), tmp_path / "o"
+        assert main(["simulate", "--out-dir", data, "--n-cities", "1",
+                     "--weeks", "103", "--seed", "0"]) == 0
+        assert main(["train", "--data-dir", data, "--out-dir", str(out),
+                     "--city", "C001", "--restarts", "1"]) == 2
+        assert "need at least 104 training weeks, have 103" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_restarts_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["train", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "x"),

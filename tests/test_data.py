@@ -3,6 +3,7 @@ assignment geometry."""
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ def write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    return str(path)
 
 
 def case_rows(city_id, values, start_week=1):
@@ -45,20 +45,13 @@ def write_fixture(tmp_path, cases=None, population=None, climate=None,
     if cities is None:
         cities = [("c1", "Alpha", "Southeast", -23.0, -46.0),
                   ("c2", "Beta", "North", -3.0, -60.0)]
-    return {
-        "cases": write_csv(tmp_path / "cases.csv", ("city_id", "week", "cases"), cases),
-        "population": write_csv(tmp_path / "population.csv", ("city_id", "population"), population),
-        "climate": write_csv(tmp_path / "climate.csv",
-                             ("station_id", "week", "rainfall_mm", "temperature_c", "humidity_pct"),
-                             climate),
-        "stations": write_csv(tmp_path / "stations.csv", ("station_id", "lat", "lon"), stations),
-        "cities": write_csv(tmp_path / "cities.csv", ("city_id", "name", "region", "lat", "lon"), cities),
-    }
-
-
-def load(paths):
-    return load_dataset(paths["cases"], paths["population"], paths["climate"],
-                        paths["stations"], paths["cities"])
+    write_csv(tmp_path / "cases.csv", ("city_id", "week", "cases"), cases)
+    write_csv(tmp_path / "population.csv", ("city_id", "population"), population)
+    write_csv(tmp_path / "climate.csv",
+              ("station_id", "week", "rainfall_mm", "temperature_c", "humidity_pct"), climate)
+    write_csv(tmp_path / "stations.csv", ("station_id", "lat", "lon"), stations)
+    write_csv(tmp_path / "cities.csv", ("city_id", "name", "region", "lat", "lon"), cities)
+    return str(tmp_path)
 
 
 class TestWeeklySeries:
@@ -158,7 +151,7 @@ class TestComputeDir:
 
 class TestLoadDataset:
     def test_well_formed_fixture(self, tmp_path):
-        ds = load(write_fixture(tmp_path))
+        ds = load_dataset(write_fixture(tmp_path))
         assert set(ds.cities) == {"c1", "c2"}
         assert ds.start_week == 1 and ds.end_week == 12
         assert ds.cities["c1"].population == 100000
@@ -166,7 +159,7 @@ class TestLoadDataset:
         assert ds.cases["c2"].value_at(1) == 10.0
 
     def test_summary(self, tmp_path):
-        summary = load(write_fixture(tmp_path)).summary()
+        summary = load_dataset(write_fixture(tmp_path)).summary()
         assert [c["city_id"] for c in summary["cities"]] == ["c1", "c2"]
         assert summary["weeks"] == {"start": 1, "end": 12, "count": 12}
         assert summary["station_assignments"] == {"c1": "s1", "c2": "s2"}
@@ -174,67 +167,67 @@ class TestLoadDataset:
     def test_duplicate_city_week(self, tmp_path):
         rows = case_rows("c1", range(12)) + case_rows("c2", range(12)) + [("c1", 3, 9)]
         with pytest.raises(DataValidationError, match=r"duplicate \(city, week\)"):
-            load(write_fixture(tmp_path, cases=rows))
+            load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_missing_week_names_the_gap(self, tmp_path):
         rows = [r for r in case_rows("c1", range(12)) if r[1] != 7]
         rows += case_rows("c2", range(12))
         with pytest.raises(DataValidationError, match="week 7 missing"):
-            load(write_fixture(tmp_path, cases=rows))
+            load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_unknown_city_in_cases(self, tmp_path):
         rows = case_rows("c1", range(12)) + case_rows("c2", range(12)) + case_rows("zz", range(12))
         with pytest.raises(DataValidationError, match="unknown city 'zz'"):
-            load(write_fixture(tmp_path, cases=rows))
+            load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_city_without_cases(self, tmp_path):
         with pytest.raises(DataValidationError, match="no case rows"):
-            load(write_fixture(tmp_path, cases=case_rows("c1", range(12))))
+            load_dataset(write_fixture(tmp_path, cases=case_rows("c1", range(12))))
 
     def test_mismatched_windows(self, tmp_path):
         rows = case_rows("c1", range(12)) + case_rows("c2", range(11), start_week=2)
         with pytest.raises(DataValidationError, match="expected 1..12"):
-            load(write_fixture(tmp_path, cases=rows))
+            load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_negative_cases(self, tmp_path):
         rows = case_rows("c1", range(12)) + case_rows("c2", range(12))
         rows[3] = ("c1", 4, -2)
         with pytest.raises(DataValidationError, match="cases must be >= 0"):
-            load(write_fixture(tmp_path, cases=rows))
+            load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_bad_region(self, tmp_path):
         cities = [("c1", "Alpha", "Southeast", -23.0, -46.0),
                   ("c2", "Beta", "Atlantis", -3.0, -60.0)]
         with pytest.raises(DataValidationError, match="region"):
-            load(write_fixture(tmp_path, cities=cities))
+            load_dataset(write_fixture(tmp_path, cities=cities))
 
     def test_missing_population(self, tmp_path):
         with pytest.raises(DataValidationError, match="no population entry"):
-            load(write_fixture(tmp_path, population=[("c1", 100000)]))
+            load_dataset(write_fixture(tmp_path, population=[("c1", 100000)]))
 
     def test_wrong_header(self, tmp_path):
-        paths = write_fixture(tmp_path)
+        data = write_fixture(tmp_path)
         write_csv(tmp_path / "cases.csv", ("city", "week", "cases"), [])
         with pytest.raises(DataValidationError, match="expected header"):
-            load(paths)
+            load_dataset(data)
 
     def test_missing_file_reports_name(self, tmp_path):
-        paths = write_fixture(tmp_path)
-        paths["stations"] = str(tmp_path / "nope.csv")
-        with pytest.raises(DataValidationError, match="nope.csv: file not found"):
-            load(paths)
+        data = write_fixture(tmp_path)
+        os.remove(tmp_path / "stations.csv")
+        with pytest.raises(DataValidationError, match="stations.csv: file not found"):
+            load_dataset(data)
 
     def test_error_carries_file_and_line(self, tmp_path):
         rows = case_rows("c1", range(12)) + case_rows("c2", range(12))
         rows[5] = ("c1", "six", 3)
-        paths = write_fixture(tmp_path, cases=rows)
+        data = write_fixture(tmp_path, cases=rows)
         with pytest.raises(DataValidationError, match=r"cases.csv:7: week must be"):
-            load(paths)
+            load_dataset(data)
 
     def test_climate_must_cover_case_window(self, tmp_path):
         climate = climate_rows("s1", 8) + climate_rows("s2", 12)
         with pytest.raises(DataValidationError, match="does not cover case window"):
-            load(write_fixture(tmp_path, climate=climate))
+            load_dataset(write_fixture(tmp_path, climate=climate))
 
 
 class TestClimateGapFilling:
@@ -242,7 +235,7 @@ class TestClimateGapFilling:
         climate = climate_rows("s1", 12) + climate_rows("s2", 12)
         # rainfall blank on week 6; neighbors are weeks 5 and 7
         climate[5] = ("s1", 6, "", 24.5, 70.0)
-        ds = load(write_fixture(tmp_path, climate=climate))
+        ds = load_dataset(write_fixture(tmp_path, climate=climate))
         window = ds.stations["s1"].window(5, 7)
         assert_allclose(window[1, 0], (window[0, 0] + window[2, 0]) / 2)
 
@@ -250,7 +243,7 @@ class TestClimateGapFilling:
         climate = climate_rows("s1", 12) + climate_rows("s2", 12)
         climate[0] = ("s1", 1, "", 24.0, 70.0)
         climate[11] = ("s1", 12, 21.0, 25.1, "")
-        ds = load(write_fixture(tmp_path, climate=climate))
+        ds = load_dataset(write_fixture(tmp_path, climate=climate))
         s = ds.stations["s1"]
         assert s.window(1, 1)[0, 0] == s.window(2, 2)[0, 0]
         assert s.window(12, 12)[0, 2] == s.window(11, 11)[0, 2]
@@ -258,15 +251,14 @@ class TestClimateGapFilling:
     def test_all_blank_column_rejected(self, tmp_path):
         climate = [("s1", w, "", 24.0, 70.0) for w in range(1, 13)] + climate_rows("s2", 12)
         with pytest.raises(DataValidationError, match="rainfall_mm has no observed values"):
-            load(write_fixture(tmp_path, climate=climate))
+            load_dataset(write_fixture(tmp_path, climate=climate))
 
 
 class TestSaveDataset:
     def test_round_trip_identity(self, tmp_path):
-        original = load(write_fixture(tmp_path))
-        paths = save_dataset(original, str(tmp_path / "saved"))
-        reloaded = load_dataset(paths["cases"], paths["population"], paths["climate"],
-                                paths["stations"], paths["cities"])
+        original = load_dataset(write_fixture(tmp_path))
+        save_dataset(original, str(tmp_path / "saved"))
+        reloaded = load_dataset(str(tmp_path / "saved"))
         assert reloaded.cities == original.cities
         assert reloaded.assignments == original.assignments
         for cid in original.cases:
@@ -277,9 +269,8 @@ class TestSaveDataset:
     def test_round_trip_preserves_non_integer_floats(self, tmp_path):
         climate = [("s1", w, repr(0.1 + 0.01 * w), 24.37, 70.123456789)
                    for w in range(1, 13)] + climate_rows("s2", 12)
-        original = load(write_fixture(tmp_path, climate=climate))
-        paths = save_dataset(original, str(tmp_path / "saved"))
-        reloaded = load_dataset(paths["cases"], paths["population"], paths["climate"],
-                                paths["stations"], paths["cities"])
+        original = load_dataset(write_fixture(tmp_path, climate=climate))
+        save_dataset(original, str(tmp_path / "saved"))
+        reloaded = load_dataset(str(tmp_path / "saved"))
         assert np.array_equal(reloaded.stations["s1"].climate,
                               original.stations["s1"].climate)

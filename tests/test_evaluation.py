@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import denguegp.evaluation as evaluation
+from denguegp.baselines import ar_fit
 from denguegp.data import WeeklySeries
 from denguegp.evaluation import (HIGH_DIR_THRESHOLD, MEDIUM_DIR_THRESHOLD,
                                  MODELS, BacktestReport, CityData, ForecastRow,
@@ -262,9 +263,7 @@ class TestTrainingView:
         view = city.training_view(80)
         assert view.end_week == 80
         assert view.dir_values.size == 80
-        assert np.array_equal(view.covariate_at(80), city.covariates[79])
-        with pytest.raises(IndexError):
-            view.covariate_at(81)
+        assert np.array_equal(view.covariates, city.covariates[:80])
 
     def test_end_week_outside_series(self):
         city = synthetic_city(SynthSpec(weeks=120, seed=7))
@@ -305,6 +304,17 @@ class TestBuildDesign:
             raw = city.covariates[154 - state.lags[d] - 1, d]
             expected = (raw - state.covariate_means[d]) / state.covariate_stds[d]
             assert_allclose(row[d], expected, rtol=1e-15)
+
+    def test_query_row_outside_the_view_raises(self):
+        city = synthetic_city(SynthSpec(weeks=160, seed=9))
+        view = city.training_view(150)
+        _, _, _, state = build_design(view)
+        shortest = min(state.lags)
+        query_row(view, state, 150 + shortest)  # the last week in reach
+        with pytest.raises(ValueError, match="outside the view"):
+            query_row(view, state, 151 + shortest)
+        with pytest.raises(ValueError, match="outside the view"):
+            query_row(view, state, max(state.lags))  # lagged week 0
 
     def test_centering_uses_cleaned_log_series(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=11))
@@ -478,6 +488,21 @@ class TestBacktestProtocol:
         alone = [run_backtest(make_city(city.dir_series.values, city.covariates), (m,),
                               protocol=protocol)[0] for m in MODELS]
         assert [r.rows for r in alone] == [r.rows for r in reports]
+
+    @pytest.mark.parametrize("horizon", [1, 2, 4])
+    def test_ar_forecasts_the_protocol_horizon(self, horizon):
+        # the AR row for target t iterates the one-step map horizon times
+        # from the last week of the view ending at t - horizon
+        city = synthetic_city(SynthSpec(weeks=120, seed=17))
+        report, = run_backtest(city, ("ar",), protocol=ProtocolConfig(
+            horizon=horizon, first_target=105, last_target=108))
+        for row in report.rows:
+            log_values, _ = city.training_view(row.target_week - horizon).log_series
+            state = ar_fit(log_values)
+            expected = log_values[-1]
+            for _ in range(horizon):
+                expected = state.intercept + state.phi * expected
+            assert row.predicted_dir == to_natural(expected)[0]
 
     def test_ar_overflow_becomes_gap(self):
         # 12-week window [0]*10 + [1, 10] on the log scale fits a slope

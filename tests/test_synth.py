@@ -155,10 +155,7 @@ class TestMultiCityFixture:
     def test_round_trips_through_loader(self, tmp_path):
         ds = make_multi_city_fixture(str(tmp_path), 1,
                                      variations=(noise_free_spec(),), seed=5)
-        paths = {name: str(tmp_path / f"{name}.csv")
-                 for name in ("cases", "population", "climate", "stations", "cities")}
-        again = load_dataset(paths["cases"], paths["population"], paths["climate"],
-                             paths["stations"], paths["cities"])
+        again = load_dataset(str(tmp_path))
         assert again.cases["C001"] == ds.cases["C001"]
         assert again.stations["S001"] == ds.stations["S001"]
 
