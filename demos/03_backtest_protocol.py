@@ -23,8 +23,6 @@ def main():
     draw = draw_from_prior(spec, city_id="demo")
     city = CityData(
         city_id="demo",
-        region="Southeast",
-        population=150000,
         dir_series=draw.dir_series,
         covariates=draw.raw_covariates,
     )

@@ -363,21 +363,26 @@ def cmd_report(cfg: RunConfig) -> int:
         boxplot = [(region, m, metric, _fmt(q["q1"]), _fmt(q["median"]), _fmt(q["q3"]), q["n"])
                    for region, block in blocks for m in models for metric in _METRICS
                    if (q := block[m][metric]) is not None]
+        listed = [(cid, m) for cid, city in sorted(summary["cities"].items())
+                  for m in models if m in city]
 
     trajectories = []
-    for name in sorted(os.listdir(cfg.out_dir)):
-        if not (name.startswith("forecast_") and name.endswith(".csv")):
-            continue
-        path = os.path.join(cfg.out_dir, name)
-        with open(path, newline="", encoding="utf-8") as fh:
+    for cid, m in listed:
+        path = os.path.join(cfg.out_dir, f"forecast_{cid}_{m}.csv")
+        try:
+            fh = open(path, newline="", encoding="utf-8")
+        except FileNotFoundError:
+            raise DataValidationError("file not found", file=path) from None
+        with fh:
             rows = list(csv.reader(fh))
         if not rows or tuple(rows[0]) != FORECAST_HEADER:
-            continue
+            raise DataValidationError(f"expected header {','.join(FORECAST_HEADER)}",
+                                      file=path, line=1)
         for line, row in enumerate(rows[1:], start=2):
             if len(row) != len(FORECAST_HEADER):
                 raise DataValidationError(f"expected {len(FORECAST_HEADER)} fields, "
                                           f"found {len(row)}", file=path, line=line)
-        trajectories.append(("trajectory_" + name[len("forecast_"):],
+        trajectories.append((f"trajectory_{cid}_{m}.csv",
                              [(r[0], r[1], r[2], r[4], r[5]) for r in rows[1:]]))
 
     write_csv(os.path.join(cfg.out_dir, "scatter.csv"),

@@ -23,8 +23,7 @@ from .data import CLIMATE_COLUMNS, Dataset, WeeklySeries, compute_dir
 from .gp import ModelFitError, fit, predict
 from .hyperopt import OptimizerConfig, optimize
 from .preprocess import (LAG_MIN, MIN_LAG_WEEKS, MIN_SCREEN_WEEKS,
-                         TransformState, log_transform,
-                         remove_additive_outliers, select_lag,
+                         TransformState, remove_additive_outliers, select_lag,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
@@ -118,10 +117,11 @@ class TrainingView:
         """Outlier-cleaned log1p series plus the flagged weeks.
 
         Computed on first use and kept, so the AR baseline and
-        build_design share one outlier screen.
+        build_design share one outlier screen, which also rejects a
+        negative series and floors every patched week at zero.
         """
         cleaned, flagged = remove_additive_outliers(self.dir_values)
-        return log_transform(cleaned), tuple(self.start_week + i for i in flagged)
+        return np.log1p(cleaned), tuple(self.start_week + i for i in flagged)
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,6 @@ class CityData:
     """
 
     city_id: str
-    region: str
-    population: int
     dir_series: WeeklySeries
     covariates: np.ndarray
 
@@ -150,8 +148,6 @@ class CityData:
         station = ds.stations[ds.assignments[city_id]]
         return cls(
             city_id=city_id,
-            region=city.region,
-            population=city.population,
             dir_series=compute_dir(cases, city.population),
             covariates=station.window(cases.start_week, cases.end_week),
         )

@@ -110,7 +110,6 @@ class TrainedGP:
 
     weeks: np.ndarray
     covariates: np.ndarray
-    targets: np.ndarray
     hyperparameters: KernelHyperparameters
     chol: np.ndarray
     alpha: np.ndarray
@@ -124,10 +123,6 @@ class PredictiveDistribution:
 
     mean: float
     variance: float
-
-    @property
-    def sd(self) -> float:
-        return float(np.sqrt(self.variance))
 
 
 def validate_design(weeks, X, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +163,8 @@ def fit(weeks, X, targets, h: KernelHyperparameters) -> TrainedGP:
     K = gram_from_arrays(weeks, X, h, include_noise=True)
     L, jitter = _chol_with_jitter(K)
     alpha = _cho_solve(L, targets)
-    return TrainedGP(weeks=weeks, covariates=X, targets=targets,
-                     hyperparameters=h, chol=L, alpha=alpha, jitter=jitter)
+    return TrainedGP(weeks=weeks, covariates=X, hyperparameters=h, chol=L,
+                     alpha=alpha, jitter=jitter)
 
 
 def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
@@ -201,7 +196,7 @@ def predict(model: TrainedGP, week, x) -> PredictiveDistribution:
 def log_marginal_likelihood(weeks, X, targets, h: KernelHyperparameters) -> float:
     """log p(y | X, theta) = -1/2 y^T alpha - sum_i log L_ii - N/2 log 2pi."""
     model = fit(weeks, X, targets, h)
-    return _lml_from_factors(model.targets, model.chol, model.alpha)
+    return _lml_from_factors(np.asarray(targets, dtype=float), model.chol, model.alpha)
 
 
 def _lml_from_factors(targets, L, alpha) -> float:
@@ -220,7 +215,7 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
 
 
 def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
-                           *, lag=None) -> tuple[float, np.ndarray]:
+                           *, lag) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient w.r.t. all log-hyperparameters.
 
     Gradient entries follow kernels.PARAM_NAMES: 1/2 tr(W dK/dtheta) with
@@ -229,10 +224,9 @@ def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
     lower triangle of the inverse (dpotri) and the inverse times
     [X, 1] (one dpotrs, which also gives alpha).  The time kernel is
     evaluated once and shared by the Gram matrix and its gradients.
-    lag is kernels.lag_table(weeks) when the caller has it already, as
-    optimize does once per design.  The design is not validated here:
-    this runs once per optimizer evaluation, and optimize validates it
-    once up front.
+    lag is kernels.lag_table(weeks), which optimize builds once per
+    design.  The design is not validated here: this runs once per
+    optimizer evaluation, and optimize validates it once up front.
     """
     targets = np.asarray(targets, dtype=float)
     by_lag = _by_lag(weeks, h, lag)

@@ -32,21 +32,6 @@ import numpy as np
 
 SQRT5 = math.sqrt(5.0)
 
-#: Canonical hyperparameter order for log-vector packing and gradients.
-PARAM_NAMES = (
-    "sigma_loc_sq",
-    "ell_loc",
-    "sigma_qp_sq",
-    "ell_qp",
-    "ell_per",
-    "period",
-    "sigma_lin_sq",
-    "ell_rain",
-    "ell_temp",
-    "ell_hum",
-    "sigma_noise_sq",
-)
-
 COVARIATE_DIM = 3
 
 
@@ -109,6 +94,10 @@ class KernelHyperparameters:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelHyperparameters":
         return cls(**{n: float(d[n]) for n in PARAM_NAMES})
+
+
+#: Canonical hyperparameter order for log-vector packing and gradients.
+PARAM_NAMES = tuple(f.name for f in fields(KernelHyperparameters))
 
 
 def _check_positive(**params):
@@ -237,7 +226,7 @@ def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
 
 
 def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
-                   inverse_cols, *, by_lag=None) -> np.ndarray:
+                   inverse_cols, *, by_lag) -> np.ndarray:
     """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta), in PARAM_NAMES
     order, for W = alpha alpha^T - M with M symmetric (GPML eq. 5.9 has
     M = (K + sigma_noise^2 I)^-1), without forming W or any n x n gradient.
@@ -250,9 +239,9 @@ def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
     order; those of M count its strict lower triangle twice.  The ARD
     and bias gradients are quadratic forms of W in the columns of [X, 1],
     and the noise gradient is sigma_noise^2 tr(W).  by_lag is
-    _by_lag(weeks, h) when the caller has it already.
+    _by_lag(weeks, h), which the caller also passes to gram_from_arrays.
     """
-    lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
+    lag, parts = by_lag
     X = np.asarray(X, dtype=float)
     n_lags = parts.shape[1]
     # the earliest week's row of lag holds every week's offset from it

@@ -62,14 +62,6 @@ class TransformState:
         }
 
 
-def log_transform(values: np.ndarray) -> np.ndarray:
-    """Map each value to ln(1 + value)."""
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("log transform requires nonnegative values")
-    return np.log1p(values)
-
-
 def standardize_covariates(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column (x - mean) / std over all rows.
 

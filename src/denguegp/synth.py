@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (REGIONS, CityRecord, Dataset, StationRecord, WeeklySeries,
-                   load_dataset, nearest_station, save_dataset)
+                   nearest_station, save_dataset)
 from .gp import _chol_with_jitter
 from .kernels import KernelHyperparameters, gram_from_arrays
 
@@ -148,7 +148,7 @@ def strongly_periodic_spec(seed: int = 0) -> SynthSpec:
 def make_multi_city_fixture(out_dir: str, n_cities: int, variations=None,
                             seed: int = 0) -> Dataset:
     """Write a loadable CSV bundle of synthetic cities; returns the
-    loaded Dataset.
+    Dataset it wrote, which load_dataset reads back unchanged.
 
     City i draws from variations[i mod len] reseeded with seed + i, so
     cities are independent but the whole fixture is reproducible.  Each
@@ -186,4 +186,4 @@ def make_multi_city_fixture(out_dir: str, n_cities: int, variations=None,
         json.dump({cid: dataclasses.asdict(s) for cid, s in specs.items()}, fh,
                   indent=2, sort_keys=True)
 
-    return load_dataset(out_dir)
+    return ds

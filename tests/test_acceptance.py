@@ -24,7 +24,7 @@ from denguegp.evaluation import (CityData, ProtocolConfig, band_auc, pearson,
 from denguegp.gp import (_chol_with_jitter, fit, lml_value_and_gradient,
                          log_marginal_likelihood, predict)
 from denguegp.hyperopt import OptimizerConfig, optimize
-from denguegp.kernels import PARAM_NAMES, composite_kernel, gram_from_arrays
+from denguegp.kernels import PARAM_NAMES, composite_kernel, gram_from_arrays, lag_table
 from denguegp.synth import (SynthSpec, draw_from_prior, make_multi_city_fixture,
                             strongly_periodic_spec)
 
@@ -117,7 +117,7 @@ class TestAcceptance:
             h = random_hyperparameters(rng)
             weeks, X = random_design(rng, n, max_week=150)
             y = rng.normal(size=n)
-            _, grad = lml_value_and_gradient(weeks, X, y, h)
+            _, grad = lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
             for idx in range(len(PARAM_NAMES)):
                 fd = finite_difference_lml(weeks, X, y, h, idx, step=1e-5)
                 worst = max(worst, rel_err(grad[idx], fd))
@@ -185,8 +185,7 @@ class TestAcceptance:
                 return super().training_view(end_week)
 
         draw = draw_from_prior(SynthSpec(seed=21), city_id="audit")
-        city = ViewAudit(city_id="audit", region="South", population=100000,
-                         dir_series=draw.dir_series,
+        city = ViewAudit(city_id="audit", dir_series=draw.dir_series,
                          covariates=draw.raw_covariates)
         report, = run_backtest(city, ("ar",))
 

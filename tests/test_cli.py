@@ -472,6 +472,36 @@ class TestReportCommand:
         assert "forecast_C001_gp.csv:2: expected 7 fields, found 2" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("broken", ["missing", "foreign header"])
+    def test_unreadable_listed_forecast_exits_2_and_writes_nothing(self, backtest_dir,
+                                                                   tmp_path, capsys, broken):
+        for name in os.listdir(backtest_dir):
+            if name == "summary.json" or name.startswith("forecast_"):
+                shutil.copy(os.path.join(backtest_dir, name), tmp_path / name)
+        listed = tmp_path / "forecast_C002_ar.csv"
+        if broken == "missing":
+            listed.unlink()
+        else:
+            listed.write_text("week,value\n105,1.0\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "forecast_C002_ar.csv" in err
+        assert ("not found" if broken == "missing" else "expected header") in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_covers_only_the_cities_in_the_summary(self, sim_dir, tmp_path, capsys):
+        # the second backtest keeps C002 alone; C001's forecast stays behind
+        out = str(tmp_path)
+        for extra in ([], ["--min-population", "200000"]):
+            assert main(["backtest", "--data-dir", sim_dir, "--out-dir", out, "--model", "lm",
+                         "--first-target", "120", "--last-target", "130"] + extra) == 0
+        assert main(["report", "--out-dir", out]) == 0
+        assert "and 1 trajectory files" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out, "trajectory_C002_lm.csv"))
+        assert not os.path.exists(os.path.join(out, "trajectory_C001_lm.csv"))
+
+
 @pytest.fixture(scope="module")
 def trained_dir(sim_dir, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("trained"))

@@ -42,19 +42,16 @@ def sinusoid_covariates(n):
     ])
 
 
-def make_city(dir_values, covariates=None, city_id="c1", region="South",
-              population=100000):
+def make_city(dir_values, covariates=None, city_id="c1"):
     values = np.asarray(dir_values, dtype=float)
     if covariates is None:
         covariates = sinusoid_covariates(values.size)
-    return CityData(city_id, region, population,
-                    WeeklySeries(city_id, 1, values), covariates)
+    return CityData(city_id, WeeklySeries(city_id, 1, values), covariates)
 
 
-def synthetic_city(spec, city_id="c1", region="South"):
+def synthetic_city(spec, city_id="c1"):
     draw = draw_from_prior(spec, city_id=city_id)
-    return make_city(draw.dir_series.values, draw.raw_covariates,
-                     city_id=city_id, region=region)
+    return make_city(draw.dir_series.values, draw.raw_covariates, city_id=city_id)
 
 
 def report_stub(city_id, model, pearson_value, auc_medium=None, auc_high=None,
@@ -172,7 +169,7 @@ class TestToNatural:
         center = dist.mean + 3.0
         half = 1.96 * np.sqrt(dist.variance)
         natural_mean, sd, lo, hi = to_natural(center, dist.variance)
-        assert sd == dist.sd
+        assert sd == np.sqrt(dist.variance)
         assert_allclose(natural_mean, np.expm1(center), rtol=1e-12)
         assert_allclose(lo, max(0.0, np.expm1(center - half)), rtol=1e-12)
         assert_allclose(hi, max(0.0, np.expm1(center + half)), rtol=1e-12)
@@ -276,8 +273,7 @@ class TestTrainingView:
         city = CityData.from_dataset(ds, "C002")
         station = ds.stations[ds.assignments["C002"]]
         assert np.array_equal(city.covariates, station.window(1, 80))
-        assert city.population == ds.cities["C002"].population
-        expected_dir = ds.cases["C002"].values * 1e5 / city.population
+        expected_dir = ds.cases["C002"].values * 1e5 / ds.cities["C002"].population
         assert np.array_equal(city.dir_series.values, expected_dir)
 
 

@@ -16,7 +16,7 @@ from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
                               composite_kernel, gram_from_arrays, kernel_vector,
                               lag_table)
 
-from test_kernels import (dense_gram_gradients, irregular_design, make_hyperparameters,
+from test_kernels import (dense_gram_gradients, make_hyperparameters,
                           random_design, random_hyperparameters, random_input)
 
 # frozen scalar evaluations of the N=1 closed form
@@ -40,7 +40,7 @@ def random_instance(rng, n):
 
 
 def lml_grad(weeks, X, y, h):
-    return lml_value_and_gradient(weeks, X, y, h)[1]
+    return lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))[1]
 
 
 ONE_WEEK = ([3], np.zeros((1, 3)))
@@ -276,20 +276,10 @@ class TestLmlGradient:
         assert_allclose(lower, np.tril(np.linalg.inv(K)), rtol=1e-9,
                         atol=1e-12 * np.abs(lower).max())
 
-    def test_lag_table_keyword_gives_the_same_bits(self):
-        rng = np.random.default_rng(131)
-        for weeks, X in (random_design(rng, 40, max_week=120), irregular_design(rng, 40),
-                         (np.arange(1, 41), rng.normal(size=(40, 3)))):
-            h, y = random_hyperparameters(rng), rng.normal(size=40)
-            value, grad = lml_value_and_gradient(weeks, X, y, h)
-            value_lag, grad_lag = lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
-            assert value_lag == value
-            assert np.array_equal(grad_lag, grad)
-
     def test_value_and_gradient_agree_with_separate_calls(self):
         rng = np.random.default_rng(89)
         weeks, X, y, h = random_instance(rng, 7)
-        value, grad = lml_value_and_gradient(weeks, X, y, h)
+        value, grad = lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
         assert_allclose(value, log_marginal_likelihood(weeks, X, y, h), rtol=1e-12)
         assert grad.shape == (len(PARAM_NAMES),)
 
@@ -354,7 +344,7 @@ class TestFailureModes:
         rng = np.random.default_rng(127)
         weeks, X, y, h = random_instance(rng, 30)
         with pytest.raises(ModelFitError, match="dpotri info 1"):
-            lml_value_and_gradient(weeks, X, y, h)
+            lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
         calls.clear()
         _, _, diag = optimize(weeks, X, y, OptimizerConfig(restarts=2, max_iterations=20))
         first, second = diag["restarts"]
@@ -408,7 +398,8 @@ class TestFailureModes:
         model = fit(weeks, X, y, h)
         monkeypatch.setattr(scipy.linalg.lapack, routine, illegal)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
-            lml_value_and_gradient(weeks, X, y, h)  # calls every routine but dtrtrs
+            # calls every routine but dtrtrs
+            lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
             predict(model, 130, X[0])
 
     def test_singular_triangular_solve_raises(self, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from denguegp.gp import log_marginal_likelihood
+from denguegp.gp import ModelFitError, log_marginal_likelihood
 from denguegp.hyperopt import (LOG_BOUNDS, MIN_TRAINING_POINTS, OptimizerConfig,
                                default_initialization, optimize)
 from denguegp.kernels import PARAM_NAMES, KernelHyperparameters
@@ -146,6 +146,15 @@ class TestOptimize:
                            OptimizerConfig(restarts=3, max_iterations=150, seed=11))
         sample_variance = float(np.var(targets))
         assert h.sigma_noise_sq == pytest.approx(sample_variance, rel=0.25)
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_restart_failing_raises(self):
+        # targets near 1e150 put -lml near 1e298 at every evaluation, past
+        # _FAILURE_VALUE / 2, so each restart is recorded as failed
+        rng = np.random.default_rng(41)
+        weeks, X, targets = white_noise_instance(rng, n=40)
+        with pytest.raises(ModelFitError, match="all optimizer restarts failed"):
+            optimize(weeks, X, targets * 1e150, OptimizerConfig(restarts=3))
 
     def test_too_few_points_rejected(self):
         rng = np.random.default_rng(31)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
+from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters, _by_lag,
                               composite_kernel, gram_from_arrays,
                               gram_gradients, kernel_vector, lag_table,
                               linear_ard, matern52, periodic)
@@ -265,7 +265,7 @@ def finite_difference_kernel(a, b, h, index, step=1e-5):
 def dense_gram_gradients(weeks, X, h, alpha, M):
     """gram_gradients for W = alpha alpha^T - M, from a dense symmetric M."""
     cols = np.column_stack([X, np.ones(len(weeks))])
-    return gram_gradients(weeks, X, h, alpha, np.tril(M), M @ cols)
+    return gram_gradients(weeks, X, h, alpha, np.tril(M), M @ cols, by_lag=_by_lag(weeks, h))
 
 
 def random_w_factors(rng, n):

@@ -10,9 +10,8 @@ from numpy.testing import assert_allclose
 
 from denguegp.data import WeeklySeries, compute_dir
 from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState, _ar_design,
-                                 _select_ar_order, log_transform,
-                                 remove_additive_outliers, select_lag,
-                                 standardize_covariates)
+                                 _select_ar_order, remove_additive_outliers,
+                                 select_lag, standardize_covariates)
 from denguegp.synth import draw_from_prior, low_incidence_spec
 
 
@@ -29,16 +28,6 @@ def low_incidence_dir(seed, population=200000):
     draw = draw_from_prior(dataclasses.replace(low_incidence_spec(), seed=seed))
     counts = np.round(draw.dir_series.values * population / 1e5)
     return compute_dir(WeeklySeries("c1", 1, counts), population).values, draw.raw_covariates
-
-
-class TestLogTransform:
-    def test_values(self):
-        got = log_transform([0.0, np.e - 1, 17.5, 300.0])
-        assert_allclose(got, [0.0, 1.0, np.log(18.5), np.log(301.0)], rtol=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_transform([1.0, -0.5, 2.0])
 
 
 class TestStandardizeCovariates:
@@ -415,7 +404,7 @@ class TestRemoveAdditiveOutliers:
         patched, flagged = remove_additive_outliers(dir_values[:101])
         assert len(flagged) > 0
         assert patched.min() == 0.0
-        log_transform(patched)  # must not raise
+        assert np.all(patched >= 0.0)
         untouched = [i for i in range(101) if i not in flagged]
         assert np.array_equal(patched[untouched], dir_values[:101][untouched])
 

@@ -153,11 +153,9 @@ class TestMultiCityFixture:
         assert specs["C001"]["covariates"][1] == dataclasses.asdict(spec.covariates[1])
 
     def test_round_trips_through_loader(self, tmp_path):
-        ds = make_multi_city_fixture(str(tmp_path), 1,
-                                     variations=(noise_free_spec(),), seed=5)
-        again = load_dataset(str(tmp_path))
-        assert again.cases["C001"] == ds.cases["C001"]
-        assert again.stations["S001"] == ds.stations["S001"]
+        mixed = (SynthSpec(), strongly_periodic_spec(), low_incidence_spec())
+        ds = make_multi_city_fixture(str(tmp_path), 3, variations=mixed, seed=5)
+        assert ds == load_dataset(str(tmp_path))
 
     def test_bad_city_count(self, tmp_path):
         with pytest.raises(ValueError):
