@@ -76,11 +76,10 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     and its upper triangle is zero.  A non-finite matrix raises
     ValueError.
     """
-    scale = float(np.mean(np.diag(K)))
     jitter = 0.0
     while True:
         jittered = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-        if not np.all(np.isfinite(jittered)):
+        if not np.isfinite(jittered).all():
             raise ValueError("array must not contain infs or NaNs")
         L, info = _lapack().dpotrf(jittered, lower=1, clean=1)
         if info == 0:
@@ -88,6 +87,7 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
         if info < 0:
             _check_info("dpotrf", info)
         if jitter == 0.0:
+            scale = float(np.mean(np.diag(K)))
             jitter = _JITTER_START * scale
         elif jitter >= _JITTER_MAX * scale:
             raise ModelFitError(
@@ -202,14 +202,15 @@ def log_marginal_likelihood(weeks, X, targets, h: KernelHyperparameters) -> floa
 def _lml_from_factors(targets, L, alpha) -> float:
     n = targets.size
     return float(-0.5 * targets @ alpha
-                 - np.sum(np.log(np.diag(L)))
+                 - np.log(L.diagonal()).sum()
                  - 0.5 * n * LOG_2PI)
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
     """Lower triangle of (L L^T)^-1 by dpotri, for a lower factor from
-    _chol_with_jitter; the upper triangle stays zero."""
-    lower, info = _lapack().dpotri(L, lower=1)
+    _chol_with_jitter, which it overwrites; the upper triangle stays
+    zero."""
+    lower, info = _lapack().dpotri(L, lower=1, overwrite_c=1)
     _check_info("dpotri", info)
     return lower
 

@@ -101,9 +101,9 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     analytic gradients inside the LOG_BOUNDS box; every evaluation
     shares one table of week distances, built here.  A restart whose
     every evaluation fails the Cholesky factorization is recorded as
-    failed; if all restarts fail, the data is pathological and
-    ModelFitError propagates.  Identical (weeks, X, targets, config) give
-    bit-identical results.
+    failed; if all restarts fail, or the variance of the targets
+    overflows, the data is pathological and ModelFitError is raised.
+    Identical (weeks, X, targets, config) give bit-identical results.
     """
     # imported here so commands that never optimize do not pay for it
     from scipy.optimize import minimize
@@ -119,7 +119,7 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
             value, grad = lml_value_and_gradient(weeks, X, targets, h, lag=lag)
         except ModelFitError:
             return _FAILURE_VALUE, np.zeros(N_PARAMS)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             return _FAILURE_VALUE, np.zeros(N_PARAMS)
         return -value, -grad
 
@@ -129,8 +129,11 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
             first_value.append(f)
         return f, g
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_variance = float(np.var(targets))
+    if not math.isfinite(target_variance):
+        raise ModelFitError("the variance of the targets overflows the float range")
     rng = np.random.default_rng(config.seed)
-    target_variance = float(np.var(targets))
     records = []
     best = None  # (final_lml, restart_index, log_theta)
     for i in range(config.restarts):

@@ -62,15 +62,15 @@ class KernelHyperparameters:
     sigma_noise_sq: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-            if f.name == "sigma_noise_sq":
+        for name in PARAM_NAMES:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            if name == "sigma_noise_sq":
                 if v < 0:
                     raise ValueError(f"sigma_noise_sq must be >= 0, got {v!r}")
             elif v <= 0:
-                raise ValueError(f"{f.name} must be > 0, got {v!r}")
+                raise ValueError(f"{name} must be > 0, got {v!r}")
 
     @property
     def ard_lengthscales(self) -> np.ndarray:
@@ -86,7 +86,7 @@ class KernelHyperparameters:
         log_theta = np.asarray(log_theta, dtype=float)
         if log_theta.shape != (len(PARAM_NAMES),):
             raise ValueError(f"expected {len(PARAM_NAMES)} log-parameters")
-        return cls(**dict(zip(PARAM_NAMES, np.exp(log_theta))))
+        return cls(*np.exp(log_theta).tolist())
 
     def to_dict(self) -> dict:
         return {n: float(getattr(self, n)) for n in PARAM_NAMES}
@@ -157,29 +157,41 @@ def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
     PARAM_NAMES[:6].  Rows 0 and 2 (the variances) are k_loc and
     k_qp * k_per, so they add up to the time kernel itself.
 
-    Computes matern52 and periodic inline, each exp and sin once, in the
-    same factor order; h is a validated KernelHyperparameters, so their
-    positivity checks would repeat its own."""
+    Computes matern52 and periodic inline, each exp and sin once on a
+    contiguous array, in the same factor order, and writes each row in
+    place; h is validated, so their positivity checks would repeat its own."""
     dt = np.asarray(dt, dtype=float)
-    a_loc, a_qp = SQRT5 * dt / h.ell_loc, SQRT5 * dt / h.ell_qp
+    a = SQRT5 * dt
+    a_loc, a_qp = a / h.ell_loc, a / h.ell_qp
     e_loc, e_qp = np.exp(-a_loc), np.exp(-a_qp)
+    p_loc, p_qp = 1.0 + a_loc, 1.0 + a_qp
     u = np.pi * dt / h.period
     s = np.sin(u)
     k_per = np.exp(-2.0 * s * s / (h.ell_per * h.ell_per))
-    k_qp = h.sigma_qp_sq * (1.0 + a_qp + a_qp * a_qp / 3.0) * e_qp * k_per
+    parts = np.empty((6,) + dt.shape)
+    k_qp = parts[2]
+    np.multiply(h.sigma_loc_sq * (p_loc + a_loc * a_loc / 3.0), e_loc, out=parts[0])
     # d matern52 / d log(l) = variance * exp(-a) a^2 (1 + a) / 3, a = sqrt(5) dt / l
-    return np.stack([
-        h.sigma_loc_sq * (1.0 + a_loc + a_loc * a_loc / 3.0) * e_loc,
-        h.sigma_loc_sq * e_loc * a_loc * a_loc * (1.0 + a_loc) / 3.0,
-        k_qp,
-        h.sigma_qp_sq * e_qp * a_qp * a_qp * (1.0 + a_qp) / 3.0 * k_per,
-        k_qp * 4.0 * s**2 / (h.ell_per**2),
-        k_qp * 2.0 * u * np.sin(2.0 * u) / (h.ell_per**2),
-    ])
+    np.divide(h.sigma_loc_sq * e_loc * a_loc * a_loc * p_loc, 3.0, out=parts[1])
+    np.multiply(h.sigma_qp_sq * (p_qp + a_qp * a_qp / 3.0) * e_qp, k_per, out=k_qp)
+    np.multiply(h.sigma_qp_sq * e_qp * a_qp * a_qp * p_qp / 3.0, k_per, out=parts[3])
+    np.divide(k_qp * 4.0 * s**2, h.ell_per**2, out=parts[4])
+    np.divide(k_qp * 2.0 * u * np.sin(2.0 * u), h.ell_per**2, out=parts[5])
+    return parts
 
 
-def lag_table(weeks) -> np.ndarray:
-    """Whole-week distances |week_i - week_j| over a design, as integers.
+@dataclass(frozen=True)
+class LagTable:
+    """Whole-week distances over one design, with what every evaluation
+    on it reads from them."""
+
+    pairs: np.ndarray  # (n, n) integer |week_i - week_j|
+    earliest: np.ndarray  # the earliest week's row: each week's offset from it
+    dt: np.ndarray  # lags 0..max as floats, where _time_parts is evaluated
+
+
+def lag_table(weeks) -> LagTable:
+    """Whole-week distances |week_i - week_j| over a design.
 
     They depend on the weeks alone, so a caller that evaluates many
     hyperparameters on one design builds the table once.
@@ -188,14 +200,15 @@ def lag_table(weeks) -> np.ndarray:
     if not (np.all(np.isfinite(weeks)) and np.array_equal(weeks, np.rint(weeks))):
         raise ValueError("design weeks must be whole numbers")
     w = weeks.astype(np.int64)
-    return np.abs(w[:, None] - w[None, :])
+    pairs = np.abs(w[:, None] - w[None, :])
+    return LagTable(pairs, pairs[np.argmin(weeks)], np.arange(np.ptp(weeks) + 1.0))
 
 
-def _by_lag(weeks, h: KernelHyperparameters, lag=None) -> tuple[np.ndarray, np.ndarray]:
+def _by_lag(weeks, h: KernelHyperparameters, lag=None) -> tuple[LagTable, np.ndarray]:
     """The lag table (lag_table(weeks) unless given) and _time_parts at
     lags 0..max."""
     lag = lag_table(weeks) if lag is None else lag
-    return lag, _time_parts(np.arange(np.ptp(weeks) + 1.0), h)
+    return lag, _time_parts(lag.dt, h)
 
 
 def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
@@ -210,11 +223,12 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
     """
     lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
     Z = np.asarray(X, dtype=float) / h.ard_lengthscales
-    k = (parts[0] + parts[2])[lag]
+    k = (parts[0] + parts[2])[lag.pairs]
     k += Z @ Z.T
     k += h.sigma_lin_sq
     if include_noise:
-        k[np.diag_indices_from(k)] += h.sigma_noise_sq
+        diagonal = k.reshape(-1)[::k.shape[0] + 1]  # a view: k is C-ordered
+        diagonal += h.sigma_noise_sq
     return k
 
 
@@ -239,21 +253,21 @@ def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
     order; those of M count its strict lower triangle twice.  The ARD
     and bias gradients are quadratic forms of W in the columns of [X, 1],
     and the noise gradient is sigma_noise^2 tr(W).  by_lag is
-    _by_lag(weeks, h), which the caller also passes to gram_from_arrays.
+    _by_lag(weeks, h), which the caller also passes to gram_from_arrays;
+    the weeks are read through it alone.
     """
     lag, parts = by_lag
     X = np.asarray(X, dtype=float)
     n_lags = parts.shape[1]
-    # the earliest week's row of lag holds every week's offset from it
-    per_week = np.bincount(lag[np.argmin(weeks)], weights=alpha, minlength=n_lags)
+    per_week = np.bincount(lag.earliest, weights=alpha, minlength=n_lags)
     outer_sums = np.correlate(per_week, per_week, "full")[n_lags - 1:]
-    # lag is symmetric, so its C order pairs with the F order of inverse_lower
-    lower_sums = np.bincount(lag.ravel(), weights=inverse_lower.ravel(order="F"),
+    # lag.pairs is symmetric, so its C order pairs with the F order of inverse_lower
+    lower_sums = np.bincount(lag.pairs.ravel(), weights=inverse_lower.ravel(order="F"),
                              minlength=n_lags)
-    trace = np.trace(inverse_lower)
+    trace = inverse_lower.trace()
     lag_sums = 2.0 * (outer_sums - lower_sums)
     lag_sums[0] += trace - outer_sums[0]
-    ard = -2.0 * ((X.T @ alpha) ** 2 - np.sum(X * inverse_cols[:, :3], axis=0))
+    ard = -2.0 * ((X.T @ alpha) ** 2 - (X * inverse_cols[:, :3]).sum(axis=0))
     bias = alpha.sum() ** 2 - inverse_cols[:, 3].sum()
     return np.concatenate([parts @ lag_sums, [h.sigma_lin_sq * bias],
                            ard / h.ard_lengthscales**2,

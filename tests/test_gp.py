@@ -335,7 +335,7 @@ class TestFailureModes:
         dpotri = scipy.linalg.lapack.dpotri
         calls = []
 
-        def failing_first_call(L, lower):
+        def failing_first_call(L, lower, overwrite_c):
             calls.append(None)
             inverse, info = dpotri(L, lower=lower)
             return inverse, 1 if len(calls) == 1 else info

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from denguegp import hyperopt
 from denguegp.gp import ModelFitError, log_marginal_likelihood
 from denguegp.hyperopt import (LOG_BOUNDS, MIN_TRAINING_POINTS, OptimizerConfig,
                                default_initialization, optimize)
@@ -155,6 +156,18 @@ class TestOptimize:
         weeks, X, targets = white_noise_instance(rng, n=40)
         with pytest.raises(ModelFitError, match="all optimizer restarts failed"):
             optimize(weeks, X, targets * 1e150, OptimizerConfig(restarts=3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_target_variance_raises_before_any_evaluation(self, monkeypatch):
+        # squaring deviations near 1e154 overflows np.var to inf
+        rng = np.random.default_rng(41)
+        weeks, X, targets = white_noise_instance(rng, n=40)
+        calls = []
+        monkeypatch.setattr(hyperopt, "lml_value_and_gradient",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ModelFitError, match="variance of the targets overflows"):
+            optimize(weeks, X, targets * 1e154, OptimizerConfig(restarts=3))
+        assert calls == []
 
     def test_too_few_points_rejected(self):
         rng = np.random.default_rng(31)
