@@ -15,7 +15,8 @@ count in their last digits, so one setting also gives one set of bytes.
 The variable is read when numpy and scipy load their OpenBLAS, so it
 must be set before the first import below that loads numpy; it has no
 effect in a process that loaded numpy already.  scipy loads later, on
-the first GP factorization (see gp), so commands that fit no GP never
+the first GP factorization, and then only its compiled LAPACK and
+L-BFGS-B modules (see gp and hyperopt); commands that fit no GP never
 load it.
 """
 

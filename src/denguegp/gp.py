@@ -14,14 +14,19 @@ here stays on that scale: evaluation.to_natural maps a prediction back
 to the incidence (DIR) scale.
 
 Factorizations and solves call LAPACK (dpotrf, dpotrs, dtrtrs, dpotri)
-from scipy.linalg.lapack, imported on first use so that a process that
-fits no GP never loads scipy.  They keep the checks of scipy's wrappers:
-a non-finite Gram matrix and every nonzero info raise, except that a
-failed dpotrf enters the jitter ladder.
+in scipy.linalg._flapack, loaded from its file on the first
+factorization (_scipy_module): a process that fits no GP loads no
+scipy, and one that does loads none of scipy's packages.  The calls keep
+the checks of scipy's wrappers: a non-finite Gram matrix and every
+nonzero info raise, except that a failed dpotrf enters the jitter ladder.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -53,10 +58,28 @@ class ModelFitError(RuntimeError):
 
 
 @cache
+def _scipy_module(package: str, name: str):
+    """scipy's compiled module scipy.<package>.<name>, loaded from its file
+    without running scipy's __init__ files, which load most of scipy.  It
+    is registered under its name, so a later import of scipy reuses it."""
+    qualified = f"scipy.{package}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        qualified, [os.path.join(path, package) for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {qualified!r}", name=qualified)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[qualified] = module
+    return module
+
+
+@cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first factorization."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's LAPACK module, loaded on the first factorization."""
+    return _scipy_module("linalg", "_flapack")
 
 
 def _check_info(routine: str, info: int) -> None:

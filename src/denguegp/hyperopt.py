@@ -4,17 +4,19 @@ The marginal likelihood surface of a quasi-periodic kernel is multimodal,
 so a single local climb is unreliable.  Each restart runs a bounded
 quasi-Newton ascent in log-hyperparameter space from a jittered copy of
 one deterministic starting point; the restart ending highest wins, with
-ties going to the lowest restart index.
+ties going to the lowest restart index.  The ascent is scipy's compiled
+L-BFGS-B step (Byrd, Lu, Nocedal & Zhu 1995), driven by _lbfgsb.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .gp import ModelFitError, lml_value_and_gradient, validate_design
+from .gp import ModelFitError, _scipy_module, lml_value_and_gradient, validate_design
 from .kernels import PARAM_NAMES, KernelHyperparameters, lag_table
 
 N_PARAMS = len(PARAM_NAMES)
@@ -42,6 +44,64 @@ def _log_range(name: str) -> tuple:
 LOG_BOUNDS = tuple(_log_range(name) for name in PARAM_NAMES)
 
 _GRADIENT_TOLERANCE = 1e-5
+
+# L-BFGS-B's state codes (task[0]) and the stop reasons (task[1]) that
+# this problem can reach, worded as scipy words them.
+_STATUS = "START NEW_X RESTART FG CONVERGENCE STOP WARNING ERROR ABNORMAL".split()
+_TASK_MESSAGES = {0: "", 401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+                  402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+                  504: "TOTAL NO. OF ITERATIONS REACHED LIMIT"}
+_SETULB_SIGNATURE = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
+                     "maxls,ln_task)")
+
+
+@cache
+def _setulb():
+    """scipy's compiled L-BFGS-B step, checked against the call in _lbfgsb."""
+    setulb = _scipy_module("optimize", "_lbfgsb").setulb
+    if (setulb.__doc__ or "").split("\n")[0] != _SETULB_SIGNATURE:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')}'s L-BFGS-B is not {_SETULB_SIGNATURE}")
+    return setulb
+
+
+def _lbfgsb(objective, x0, max_iterations: int) -> tuple:
+    """Minimize objective(x) -> (f, gradient) inside LOG_BOUNDS from x0.
+
+    Returns (x, f, f(x0), iterations, message), as scipy's minimize(
+    objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
+    options={"maxiter": max_iterations, "gtol": _GRADIENT_TOLERANCE,
+    "ftol": 1e-12}) does: this loop mirrors its _minimize_lbfgsb, with the
+    same setulb calls, an evaluation of x0 before the first, and the last
+    evaluation reused when setulb asks for its point again.  scipy's cap
+    of 15000 evaluations is left out; 200 iterations come nowhere near it.
+    """
+    setulb, m, n = _setulb(), 10, x0.size
+    lower, upper = np.array(LOG_BOUNDS).T.copy()
+    x = np.clip(x0, lower, upper)
+    point = x.copy()
+    evaluated = initial = objective(point)
+    f, g = np.array(0.0), np.zeros(n)
+    nbd, wa = np.full(n, 2, np.int32), np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    iterations = 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, 1e-12 / np.finfo(float).eps, _GRADIENT_TOLERANCE,
+               wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        status = _STATUS[task[0]]
+        if status == "FG":
+            if not np.array_equal(x, point):
+                point = x.copy()
+                evaluated = objective(point)
+            f, g = evaluated
+        elif status == "NEW_X":
+            iterations += 1
+            if iterations >= max_iterations:
+                task[:] = _STATUS.index("STOP"), 504
+        else:
+            break
+    return x, f, initial[0], iterations, f"{status}: {_TASK_MESSAGES[task[1]]}"
 
 
 @dataclass(frozen=True)
@@ -105,9 +165,6 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     overflows, the data is pathological and ModelFitError is raised.
     Identical (weeks, X, targets, config) give bit-identical results.
     """
-    # imported here so commands that never optimize do not pay for it
-    from scipy.optimize import minimize
-
     weeks, X, targets = validate_design(weeks, X, targets)
     if targets.size < MIN_TRAINING_POINTS:
         raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points")
@@ -123,12 +180,6 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
             return _FAILURE_VALUE, np.zeros(N_PARAMS)
         return -value, -grad
 
-    def recorded(log_theta, first_value):
-        f, g = objective(log_theta)
-        if not first_value:  # L-BFGS-B evaluates the start point first
-            first_value.append(f)
-        return f, g
-
     with np.errstate(over="ignore", invalid="ignore"):
         target_variance = float(np.var(targets))
     if not math.isfinite(target_variance):
@@ -138,25 +189,19 @@ def optimize(weeks, X, targets, config: OptimizerConfig) -> tuple:
     best = None  # (final_lml, restart_index, log_theta)
     for i in range(config.restarts):
         start = default_initialization(target_variance, i, rng)
-        x0 = start.to_log_vector()
-        first_value = []
-        result = minimize(
-            recorded, x0, args=(first_value,), jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
-            options={"maxiter": config.max_iterations,
-                     "gtol": _GRADIENT_TOLERANCE,
-                     "ftol": 1e-12})
-        final = float(result.fun)
+        x, final, initial, iterations, message = _lbfgsb(
+            objective, start.to_log_vector(), config.max_iterations)
         failed = not np.isfinite(final) or final >= _FAILURE_VALUE / 2
         records.append({
             "restart": i,
-            "initial_lml": float(-first_value[0]),
+            "initial_lml": float(-initial),
             "final_lml": float("nan") if failed else -final,
-            "iterations": int(result.nit),
-            "termination": str(result.message),
+            "iterations": iterations,
+            "termination": message,
             "failed": failed,
         })
         if not failed and (best is None or -final > best[0]):
-            best = (-final, i, np.array(result.x, dtype=float))
+            best = (-final, i, x)
 
     if best is None:
         raise ModelFitError("all optimizer restarts failed")

@@ -6,10 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
-from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_lower, fit,
+from denguegp.gp import (ModelFitError, _chol_with_jitter, _inverse_lower, _lapack, fit,
                          lml_value_and_gradient, log_marginal_likelihood, predict)
 from denguegp.hyperopt import _FAILURE_VALUE, OptimizerConfig, optimize
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters,
@@ -332,7 +331,7 @@ class TestFailureModes:
     def test_failed_inverse_is_a_failed_evaluation(self, monkeypatch):
         # dpotri reports a zero pivot through info; the call must raise, and
         # optimize must score that evaluation as _FAILURE_VALUE, not crash
-        dpotri = scipy.linalg.lapack.dpotri
+        dpotri = _lapack().dpotri
         calls = []
 
         def failing_first_call(L, lower, overwrite_c):
@@ -340,7 +339,7 @@ class TestFailureModes:
             inverse, info = dpotri(L, lower=lower)
             return inverse, 1 if len(calls) == 1 else info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", failing_first_call)
+        monkeypatch.setattr(_lapack(), "dpotri", failing_first_call)
         rng = np.random.default_rng(127)
         weeks, X, y, h = random_instance(rng, 30)
         with pytest.raises(ModelFitError, match="dpotri info 1"):
@@ -368,7 +367,7 @@ class TestFailureModes:
 
     def test_failed_factorization_enters_the_jitter_ladder(self, monkeypatch):
         # dpotrf reports a non-positive leading minor through info > 0
-        dpotrf = scipy.linalg.lapack.dpotrf
+        dpotrf = _lapack().dpotrf
         calls = []
 
         def failing_first_call(a, lower, clean):
@@ -376,7 +375,7 @@ class TestFailureModes:
             L, info = dpotrf(a, lower=lower, clean=clean)
             return L, 2 if len(calls) == 1 else info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_first_call)
+        monkeypatch.setattr(_lapack(), "dpotrf", failing_first_call)
         rng = np.random.default_rng(137)
         weeks, X, _, h = random_instance(rng, 20)
         K = gram_from_arrays(weeks, X, h, include_noise=True)
@@ -388,7 +387,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dtrtrs", "dpotri"])
     def test_illegal_lapack_argument_raises(self, monkeypatch, routine):
         # info < 0 names an illegal argument; no routine may return its output
-        original = getattr(scipy.linalg.lapack, routine)
+        original = getattr(_lapack(), routine)
 
         def illegal(*args, **kwargs):
             return original(*args, **kwargs)[0], -2
@@ -396,15 +395,15 @@ class TestFailureModes:
         rng = np.random.default_rng(139)
         weeks, X, y, h = random_instance(rng, 20)
         model = fit(weeks, X, y, h)
-        monkeypatch.setattr(scipy.linalg.lapack, routine, illegal)
+        monkeypatch.setattr(_lapack(), routine, illegal)
         with pytest.raises(ValueError, match=f"argument 2 of LAPACK {routine}"):
             # calls every routine but dtrtrs
             lml_value_and_gradient(weeks, X, y, h, lag=lag_table(weeks))
             predict(model, 130, X[0])
 
     def test_singular_triangular_solve_raises(self, monkeypatch):
-        dtrtrs = scipy.linalg.lapack.dtrtrs
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs",
+        dtrtrs = _lapack().dtrtrs
+        monkeypatch.setattr(_lapack(), "dtrtrs",
                             lambda *args, **kwargs: (dtrtrs(*args, **kwargs)[0], 3))
         model = fit(*ONE_WEEK, [1.0], make_hyperparameters())
         with pytest.raises(ModelFitError, match="dtrtrs info 3"):

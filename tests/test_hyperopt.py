@@ -1,15 +1,21 @@
 """Multi-restart likelihood ascent: initialization, determinism, bound
 handling, and recovery of known generating parameters."""
 
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from denguegp import hyperopt
+from denguegp.evaluation import build_design
 from denguegp.gp import ModelFitError, log_marginal_likelihood
-from denguegp.hyperopt import (LOG_BOUNDS, MIN_TRAINING_POINTS, OptimizerConfig,
-                               default_initialization, optimize)
+from denguegp.hyperopt import (_FAILURE_VALUE, LOG_BOUNDS, MIN_TRAINING_POINTS, N_PARAMS,
+                               OptimizerConfig, default_initialization, optimize)
 from denguegp.kernels import PARAM_NAMES, KernelHyperparameters
+from denguegp.synth import SynthSpec, low_incidence_spec, strongly_periodic_spec
+
+from test_evaluation import synthetic_city
 
 
 def white_noise_instance(rng, n=60, noise_variance=0.5):
@@ -180,3 +186,94 @@ class TestOptimize:
         weeks, X, _ = white_noise_instance(rng, n=40)
         with pytest.raises(ValueError):
             optimize(weeks, X, np.zeros(39), OptimizerConfig(restarts=1))
+
+
+LBFGSB = hyperopt._lbfgsb
+
+
+def assert_matches_minimize(objective, x0, max_iterations):
+    """Run hyperopt._lbfgsb and scipy's minimize on one objective and
+    require the same evaluated points, result, iterations and message;
+    returns the loop's result."""
+    from scipy.optimize import minimize
+
+    def logged(evaluations):
+        def f(x):
+            evaluations.append(x.copy())
+            return objective(x)
+        return f
+
+    ours, theirs = [], []
+    x, f, initial, iterations, message = LBFGSB(logged(ours), x0, max_iterations)
+    result = minimize(logged(theirs), x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
+                      options={"maxiter": max_iterations,
+                               "gtol": hyperopt._GRADIENT_TOLERANCE, "ftol": 1e-12})
+    assert len(ours) == len(theirs)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    assert np.array_equal(x, result.x)
+    assert f == result.fun
+    assert initial == objective(ours[0])[0]
+    assert (iterations, message) == (result.nit, result.message)
+    return x, f, initial, iterations, message
+
+
+class TestLbfgsbLoop:
+    """The reverse-communication loop in hyperopt._lbfgsb against
+    scipy.optimize.minimize(method="L-BFGS-B"), which it replaces."""
+
+    @staticmethod
+    def compare_inside_optimize(monkeypatch, view, config):
+        runs = []
+
+        def compared(objective, x0, max_iterations):
+            runs.append(assert_matches_minimize(objective, x0, max_iterations))
+            return runs[-1]
+
+        monkeypatch.setattr(hyperopt, "_lbfgsb", compared)
+        optimize(*build_design(view)[:3], config)
+        return runs
+
+    @pytest.mark.parametrize("spec, end_week", [
+        (SynthSpec(seed=600), 101),
+        (strongly_periodic_spec(seed=601), 130),
+        (low_incidence_spec(seed=7), 150)])
+    def test_optimize_objective_every_restart(self, monkeypatch, spec, end_week):
+        view = synthetic_city(spec).training_view(end_week)
+        runs = self.compare_inside_optimize(monkeypatch, view, OptimizerConfig(restarts=3, seed=7))
+        assert len(runs) == 3
+
+    def test_iteration_limit(self, monkeypatch):
+        view = synthetic_city(SynthSpec(seed=600)).training_view(101)
+        runs = self.compare_inside_optimize(
+            monkeypatch, view, OptimizerConfig(restarts=1, max_iterations=2))
+        assert [run[3:] for run in runs] == [(2, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")]
+
+    def test_start_on_a_bounds_corner(self, monkeypatch):
+        corner = np.array([bounds[i % 2] for i, bounds in enumerate(LOG_BOUNDS)])
+        monkeypatch.setattr(hyperopt, "default_initialization",
+                            lambda *args: KernelHyperparameters.from_log_vector(corner))
+        view = synthetic_city(SynthSpec(seed=600)).training_view(101)
+        runs = self.compare_inside_optimize(monkeypatch, view, OptimizerConfig(restarts=1))
+        assert len(runs) == 1
+
+    def test_failure_value_with_zero_gradient(self):
+        x0 = default_initialization(1.0, 0).to_log_vector()
+        _, f, _, iterations, message = assert_matches_minimize(
+            lambda x: (_FAILURE_VALUE, np.zeros(N_PARAMS)), x0, 200)
+        assert (f, iterations) == (_FAILURE_VALUE, 0)
+        assert message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+
+    def test_wrong_gradient_ends_abnormally(self):
+        x0 = default_initialization(1.0, 0).to_log_vector()
+        _, _, _, _, message = assert_matches_minimize(lambda x: (float(x @ x), -2 * x), x0, 200)
+        assert message == "ABNORMAL: "
+
+    def test_unknown_setulb_signature_raises(self, monkeypatch):
+        def setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, iprint, csave, lsave,
+                   isave, dsave, maxls):
+            """x,f,g,... = setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,...)"""
+
+        monkeypatch.setattr(hyperopt, "_scipy_module",
+                            lambda package, name: types.SimpleNamespace(setulb=setulb))
+        with pytest.raises(ImportError, match=r"scipy \d+\.\d+.*L-BFGS-B"):
+            hyperopt._setulb.__wrapped__()
