@@ -252,7 +252,8 @@ def cmd_forecast(cfg: RunConfig) -> int:
     with _input_error(f"bad setting value: horizon {cfg.horizon}"):
         queries = [query_row(view, state, t) for t in targets]
 
-    model = fit(weeks, X, y, h)
+    with _input_error("invalid saved model", file=model_path):
+        model = fit(weeks, X, y, h)
     rows = [ForecastRow(t, city.actual_dir(t) if t <= city.dir_series.end_week else None,
                         *gp_forecast(model, t, x, state))
             for t, x in zip(targets, queries)]

@@ -95,9 +95,9 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor by dpotrf, escalating diagonal jitter on failure.
 
     Jitter starts at 1e-8 * mean(diag) and grows tenfold up to
-    1e-4 * mean(diag) before giving up.  The factor is Fortran-ordered
-    and its upper triangle is zero.  A non-finite matrix raises
-    ValueError.
+    1e-4 * mean(diag) before giving up; it gives up at once when the
+    first jitter underflows to zero.  The factor is Fortran-ordered and
+    its upper triangle is zero.  A non-finite matrix raises ValueError.
     """
     jitter = 0.0
     while True:
@@ -112,6 +112,8 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
         if jitter == 0.0:
             scale = float(np.mean(np.diag(K)))
             jitter = _JITTER_START * scale
+            if not jitter > 0.0:
+                raise ModelFitError(f"Cholesky factorization failed at diagonal mean {scale!r}")
         elif jitter >= _JITTER_MAX * scale:
             raise ModelFitError(
                 "Cholesky factorization failed even with jitter "
@@ -259,5 +261,5 @@ def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
     solved = _cho_solve(L, np.column_stack([targets, X, np.ones(targets.size)]))
     alpha = solved[:, 0]
     value = _lml_from_factors(targets, L, alpha)
-    return value, 0.5 * gram_gradients(weeks, X, h, alpha, _inverse_lower(L),
-                                       solved[:, 1:], by_lag=by_lag)
+    return value, 0.5 * gram_gradients(X, h, alpha, _inverse_lower(L), solved[:, 1:],
+                                       by_lag=by_lag)

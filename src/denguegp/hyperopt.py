@@ -25,23 +25,26 @@ MIN_TRAINING_POINTS = 30
 
 _FAILURE_VALUE = 1e25
 
-_PERIOD_RANGE = (20.0, 110.0)
-_LENGTHSCALE_RANGE = (0.5, 300.0)
-_VARIANCE_RANGE = (1e-6, 1e3)
-
-
-def _log_range(name: str) -> tuple:
-    if name == "period":
-        lo, hi = _PERIOD_RANGE
-    elif name.endswith("_sq"):
-        lo, hi = _VARIANCE_RANGE
-    else:
-        lo, hi = _LENGTHSCALE_RANGE
-    return (math.log(lo), math.log(hi))
-
+#: One row per hyperparameter, in PARAM_NAMES order: its natural-scale
+#: (low, high) box, and restart 0's start as a function of the variance
+#: v of the targets.
+PARAMETERS = {
+    "sigma_loc_sq": (1e-6, 1e3, lambda v: v / 3),
+    "ell_loc": (0.5, 300.0, lambda v: 2.0),
+    "sigma_qp_sq": (1e-6, 1e3, lambda v: v / 3),
+    "ell_qp": (0.5, 300.0, lambda v: 58.0),
+    "ell_per": (0.5, 300.0, lambda v: 1.0),
+    "period": (20.0, 110.0, lambda v: 52.0),
+    "sigma_lin_sq": (1e-6, 1e3, lambda v: v / 3),
+    "ell_rain": (0.5, 300.0, lambda v: 30.0),
+    "ell_temp": (0.5, 300.0, lambda v: 30.0),
+    "ell_hum": (0.5, 300.0, lambda v: 30.0),
+    "sigma_noise_sq": (1e-6, 1e3, lambda v: v / 10),
+}
 
 #: Per-parameter (low, high) box in log space, ordered like PARAM_NAMES.
-LOG_BOUNDS = tuple(_log_range(name) for name in PARAM_NAMES)
+LOG_BOUNDS = tuple((math.log(PARAMETERS[n][0]), math.log(PARAMETERS[n][1]))
+                   for n in PARAM_NAMES)
 
 _GRADIENT_TOLERANCE = 1e-5
 
@@ -123,26 +126,13 @@ def default_initialization(target_variance: float, restart_index: int,
                            rng: np.random.Generator | None = None) -> KernelHyperparameters:
     """Starting point for one restart.
 
-    Restart 0 is fully deterministic: a 52-week period, short local and
-    medium quasi-periodic lengthscales, the empirical target variance
-    split evenly across the three signal components, a tenth of it as
-    noise.  Later restarts jitter every log-parameter uniformly by +-0.7
-    around that point, clipped into the bounds.
+    Restart 0 is fully deterministic: each parameter starts by its
+    PARAMETERS row's rule, from the empirical target variance floored at
+    1e-6, clipped into the bounds.  Later restarts jitter every
+    log-parameter uniformly by +-0.7 around that point, clipped again.
     """
     v = max(float(target_variance), 1e-6)
-    base = KernelHyperparameters(
-        sigma_loc_sq=v / 3,
-        ell_loc=2.0,
-        sigma_qp_sq=v / 3,
-        ell_qp=58.0,
-        ell_per=1.0,
-        period=52.0,
-        sigma_lin_sq=v / 3,
-        ell_rain=30.0,
-        ell_temp=30.0,
-        ell_hum=30.0,
-        sigma_noise_sq=v / 10,
-    )
+    base = KernelHyperparameters(**{n: start(v) for n, (_, _, start) in PARAMETERS.items()})
     lo, hi = np.array(LOG_BOUNDS).T
     log_theta = np.clip(base.to_log_vector(), lo, hi)
     if restart_index == 0:

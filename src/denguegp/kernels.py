@@ -239,8 +239,8 @@ def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     return parts[0] + parts[2] + linear
 
 
-def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
-                   inverse_cols, *, by_lag) -> np.ndarray:
+def gram_gradients(X, h: KernelHyperparameters, alpha, inverse_lower, inverse_cols,
+                   *, by_lag) -> np.ndarray:
     """sum_ij W_ij d(K + sigma_noise^2 I)_ij / d(log theta), in PARAM_NAMES
     order, for W = alpha alpha^T - M with M symmetric (GPML eq. 5.9 has
     M = (K + sigma_noise^2 I)^-1), without forming W or any n x n gradient.
@@ -252,9 +252,9 @@ def gram_gradients(weeks, X, h: KernelHyperparameters, alpha, inverse_lower,
     per week, which holds for any whole weeks, with gaps, repeats or no
     order; those of M count its strict lower triangle twice.  The ARD
     and bias gradients are quadratic forms of W in the columns of [X, 1],
-    and the noise gradient is sigma_noise^2 tr(W).  by_lag is
-    _by_lag(weeks, h), which the caller also passes to gram_from_arrays;
-    the weeks are read through it alone.
+    and the noise gradient is sigma_noise^2 tr(W).  The design's weeks
+    enter only through by_lag, which is _by_lag(weeks, h), as the caller
+    also passes it to gram_from_arrays.
     """
     lag, parts = by_lag
     X = np.asarray(X, dtype=float)

@@ -123,11 +123,9 @@ def draw_from_prior(spec: SynthSpec, city_id: str = "synth") -> PriorDraw:
 def low_incidence_spec(seed: int = 0) -> SynthSpec:
     """Quiet city: the DIR stays below the 25/week medium band."""
     return SynthSpec(
-        hyperparameters=KernelHyperparameters(
-            sigma_loc_sq=0.05, ell_loc=2.0,
-            sigma_qp_sq=0.15, ell_qp=58.0, ell_per=1.0, period=52.0,
-            sigma_lin_sq=0.01, ell_rain=50.0, ell_temp=30.0, ell_hum=70.0,
-            sigma_noise_sq=0.02),
+        hyperparameters=dataclasses.replace(
+            _default_hyperparameters(), sigma_loc_sq=0.05, sigma_qp_sq=0.15,
+            sigma_lin_sq=0.01, sigma_noise_sq=0.02),
         seed=seed,
         log_offset=0.5)
 
@@ -136,11 +134,9 @@ def strongly_periodic_spec(seed: int = 0) -> SynthSpec:
     """Seasonal city dominated by the quasi-periodic component; epidemic
     waves cross both incidence bands."""
     return SynthSpec(
-        hyperparameters=KernelHyperparameters(
-            sigma_loc_sq=0.05, ell_loc=2.0,
-            sigma_qp_sq=2.0, ell_qp=80.0, ell_per=0.8, period=52.0,
-            sigma_lin_sq=0.01, ell_rain=50.0, ell_temp=30.0, ell_hum=70.0,
-            sigma_noise_sq=0.02),
+        hyperparameters=dataclasses.replace(
+            _default_hyperparameters(), sigma_loc_sq=0.05, sigma_qp_sq=2.0, ell_qp=80.0,
+            ell_per=0.8, sigma_lin_sq=0.01, sigma_noise_sq=0.02),
         seed=seed,
         log_offset=2.5)
 

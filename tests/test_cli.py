@@ -572,6 +572,39 @@ class TestTrainForecast:
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "prediction_C001.csv").exists()
 
+    @staticmethod
+    def forecast_with_edited_model(sim_dir, trained_dir, out, **hyperparameters):
+        """forecast in a fresh process, which warnings do not stop, on a
+        copy of the saved model with some hyperparameters replaced."""
+        payload = read_json(os.path.join(trained_dir, "model_C001.json"))
+        payload["hyperparameters"].update(hyperparameters)
+        with open(out / "model_C001.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(denguegp.__file__)))
+        return subprocess.run([sys.executable, "-m", "denguegp.cli", "forecast",
+                               "--data-dir", sim_dir, "--out-dir", str(out), "--city", "C001"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+
+    def test_unfactorizable_saved_model_exits_3(self, sim_dir, trained_dir, tmp_path):
+        # every Gram entry is subnormal, so the factorization fails and the
+        # first jitter underflows to 0
+        done = self.forecast_with_edited_model(
+            sim_dir, trained_dir, tmp_path, sigma_loc_sq=5e-324, ell_loc=300.0,
+            sigma_qp_sq=5e-324, ell_qp=300.0, sigma_lin_sq=5e-324, ell_rain=1e300,
+            ell_temp=1e300, ell_hum=1e300, sigma_noise_sq=0.0)
+        assert done.returncode == 3
+        assert "model error: Cholesky factorization failed" in done.stderr
+        assert os.listdir(tmp_path) == ["model_C001.json"]
+
+    def test_overflowing_saved_model_exits_2(self, sim_dir, trained_dir, tmp_path):
+        done = self.forecast_with_edited_model(sim_dir, trained_dir, tmp_path,
+                                               sigma_loc_sq=1e308, sigma_qp_sq=1e308)
+        assert done.returncode == 2
+        assert "error: model_C001.json: invalid saved model" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert os.listdir(tmp_path) == ["model_C001.json"]
+
     def test_forecast_without_model_exits_2(self, sim_dir, tmp_path, capsys):
         assert main(["forecast", "--data-dir", sim_dir,
                      "--out-dir", str(tmp_path / "nomodel"), "--city", "C001"]) == 2

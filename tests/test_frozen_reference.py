@@ -1,17 +1,19 @@
 """Bit pins for the likelihood path: a frozen copy of an earlier, plainer
 implementation of the time kernel, the Gram matrix, the
 dpotrf/dpotrs/dpotri chain and the gradient contraction must agree with
-lml_value_and_gradient, fit and predict to the last bit."""
+lml_value_and_gradient, fit and predict to the last bit.  The optimizer's
+box and restart starts are pinned the same way, against literals."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack as lapack
 
 from denguegp.gp import ModelFitError, fit, lml_value_and_gradient, predict
-from denguegp.hyperopt import LOG_BOUNDS
-from denguegp.kernels import KernelHyperparameters, lag_table
+from denguegp.hyperopt import LOG_BOUNDS, PARAMETERS, default_initialization
+from denguegp.kernels import PARAM_NAMES, KernelHyperparameters, lag_table
 
 from test_kernels import irregular_design, make_hyperparameters, random_hyperparameters
 
@@ -139,3 +141,22 @@ class TestFrozenReference:
         exhausted = [assert_bit_identical(
             weeks, X, y, KernelHyperparameters.from_log_vector(corners[i])) for i in picks]
         assert not all(exhausted)
+
+    def test_parameter_table(self):
+        assert tuple(PARAMETERS) == PARAM_NAMES
+        variance, lengthscale = (1e-6, 1e3), (0.5, 300.0)
+        box = [variance, lengthscale, variance, lengthscale, lengthscale, (20.0, 110.0),
+               variance, lengthscale, lengthscale, lengthscale, variance]
+        assert LOG_BOUNDS == tuple((math.log(lo), math.log(hi)) for lo, hi in box)
+        lo, hi = np.array(LOG_BOUNDS).T
+        for target_variance in (0.0, 1e-9, 1e-6, 0.37, 1.0, 7.0, 2.9e3, 1e5):
+            v = max(target_variance, 1e-6)
+            start = np.clip(np.log([v / 3, 2.0, v / 3, 58.0, 1.0, 52.0, v / 3,
+                                    30.0, 30.0, 30.0, v / 10]), lo, hi)
+            h = default_initialization(target_variance, 0)
+            assert h == KernelHyperparameters.from_log_vector(start)
+            rng, expected_rng = np.random.default_rng(613), np.random.default_rng(613)
+            for i in (1, 2, 3):
+                jittered = np.clip(start + expected_rng.uniform(-0.7, 0.7, size=11), lo, hi)
+                h = default_initialization(target_variance, i, rng)
+                assert h == KernelHyperparameters.from_log_vector(jittered)
