@@ -35,6 +35,8 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import numpy as np
+
 from .data import DataValidationError, _format_number, load_dataset, write_csv
 from .evaluation import (_METRICS, MODELS, CityData, ForecastRow, ProtocolConfig,
                          aggregate_reports, build_design, gp_forecast, query_row,
@@ -252,7 +254,10 @@ def cmd_forecast(cfg: RunConfig) -> int:
     with _input_error(f"bad setting value: horizon {cfg.horizon}"):
         queries = [query_row(view, state, t) for t in targets]
 
-    with _input_error("invalid saved model", file=model_path):
+    # a saved model whose covariance overflows fails fit's finiteness
+    # check; numpy's warnings on the way there would only repeat it
+    with _input_error("invalid saved model", file=model_path), \
+            np.errstate(over="ignore", invalid="ignore"):
         model = fit(weeks, X, y, h)
     rows = [ForecastRow(t, city.actual_dir(t) if t <= city.dir_series.end_week else None,
                         *gp_forecast(model, t, x, state))

@@ -520,6 +520,7 @@ class TestTrainForecast:
         assert len(payload["transform"]["lags"]) == 3
         diag = read_json(os.path.join(trained_dir, "train_diagnostics_C001.json"))
         assert diag["restarts"][0]["selected"] is True
+        assert diag["restarts"][0]["evaluations"] > diag["restarts"][0]["iterations"]
 
     def test_train_is_deterministic(self, sim_dir, trained_dir, tmp_path):
         again = str(tmp_path / "again")
@@ -602,6 +603,8 @@ class TestTrainForecast:
                                                sigma_loc_sq=1e308, sigma_qp_sq=1e308)
         assert done.returncode == 2
         assert "error: model_C001.json: invalid saved model" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert "RuntimeWarning" not in done.stderr
         assert "Traceback" not in done.stderr
         assert os.listdir(tmp_path) == ["model_C001.json"]
 

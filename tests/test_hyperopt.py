@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from denguegp import hyperopt
 from denguegp.evaluation import build_design
-from denguegp.gp import ModelFitError, log_marginal_likelihood
+from denguegp.gp import ModelFitError, lml_value_and_gradient, log_marginal_likelihood
 from denguegp.hyperopt import (_FAILURE_VALUE, LOG_BOUNDS, MIN_TRAINING_POINTS, N_PARAMS,
                                OptimizerConfig, default_initialization, optimize)
 from denguegp.kernels import PARAM_NAMES, KernelHyperparameters
@@ -175,6 +175,20 @@ class TestOptimize:
             optimize(weeks, X, targets * 1e154, OptimizerConfig(restarts=3))
         assert calls == []
 
+    def test_evaluations_count_every_likelihood_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return lml_value_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "lml_value_and_gradient", counted)
+        rng = np.random.default_rng(43)
+        weeks, X, targets = white_noise_instance(rng, n=40)
+        _, _, diag = optimize(weeks, X, targets, OptimizerConfig(restarts=3, seed=2))
+        assert sum(r["evaluations"] for r in diag["restarts"]) == len(calls)
+        assert all(r["evaluations"] > r["iterations"] for r in diag["restarts"])
+
     def test_too_few_points_rejected(self):
         rng = np.random.default_rng(31)
         weeks, X, targets = white_noise_instance(rng, n=MIN_TRAINING_POINTS - 1)
@@ -190,6 +204,11 @@ class TestOptimize:
 
 LBFGSB = hyperopt._lbfgsb
 
+#: (truth, view end week) of the designs whose every restart is checked
+DESIGNS = [(SynthSpec(seed=600), 101),
+           (strongly_periodic_spec(seed=601), 130),
+           (low_incidence_spec(seed=7), 150)]
+
 
 def assert_matches_minimize(objective, x0, max_iterations):
     """Run hyperopt._lbfgsb and scipy's minimize on one objective and
@@ -204,17 +223,18 @@ def assert_matches_minimize(objective, x0, max_iterations):
         return f
 
     ours, theirs = [], []
-    x, f, initial, iterations, message = LBFGSB(logged(ours), x0, max_iterations)
+    x, f, initial, iterations, evaluations, message = LBFGSB(logged(ours), x0, max_iterations)
     result = minimize(logged(theirs), x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
-                      options={"maxiter": max_iterations,
-                               "gtol": hyperopt._GRADIENT_TOLERANCE, "ftol": 1e-12})
-    assert len(ours) == len(theirs)
+                      options={"maxiter": max_iterations, "maxcor": hyperopt._MEMORY,
+                               "ftol": hyperopt._FACTR * np.finfo(float).eps,
+                               "gtol": hyperopt._GRADIENT_TOLERANCE})
+    assert len(ours) == len(theirs) == evaluations
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
     assert np.array_equal(x, result.x)
     assert f == result.fun
     assert initial == objective(ours[0])[0]
     assert (iterations, message) == (result.nit, result.message)
-    return x, f, initial, iterations, message
+    return x, f, initial, iterations, evaluations, message
 
 
 class TestLbfgsbLoop:
@@ -233,20 +253,40 @@ class TestLbfgsbLoop:
         optimize(*build_design(view)[:3], config)
         return runs
 
-    @pytest.mark.parametrize("spec, end_week", [
-        (SynthSpec(seed=600), 101),
-        (strongly_periodic_spec(seed=601), 130),
-        (low_incidence_spec(seed=7), 150)])
+    @pytest.mark.parametrize("spec, end_week", DESIGNS)
     def test_optimize_objective_every_restart(self, monkeypatch, spec, end_week):
         view = synthetic_city(spec).training_view(end_week)
         runs = self.compare_inside_optimize(monkeypatch, view, OptimizerConfig(restarts=3, seed=7))
         assert len(runs) == 3
 
+    @pytest.mark.parametrize("spec, end_week", DESIGNS)
+    def test_shipped_tolerances_reach_the_tight_optimum(self, monkeypatch, spec, end_week):
+        # the shipped memory and tolerances against minimize from the same
+        # starts at L-BFGS-B's old tight settings, run to convergence
+        from scipy.optimize import minimize
+
+        climbs = []
+
+        def recorded(objective, x0, max_iterations):
+            climbs.append((objective, x0.copy()))
+            return LBFGSB(objective, x0, max_iterations)
+
+        monkeypatch.setattr(hyperopt, "_lbfgsb", recorded)
+        view = synthetic_city(spec).training_view(end_week)
+        _, lml, _ = optimize(*build_design(view)[:3], OptimizerConfig(restarts=3, seed=7))
+        tight = min(minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
+                             options={"maxcor": 10, "ftol": 1e-12, "gtol": 1e-5,
+                                      "maxiter": 1000}).fun
+                    for objective, x0 in climbs)
+        assert len(climbs) == 3
+        assert lml >= -tight - 1e-2
+
     def test_iteration_limit(self, monkeypatch):
         view = synthetic_city(SynthSpec(seed=600)).training_view(101)
         runs = self.compare_inside_optimize(
             monkeypatch, view, OptimizerConfig(restarts=1, max_iterations=2))
-        assert [run[3:] for run in runs] == [(2, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")]
+        assert [(run[3], run[5]) for run in runs] == [
+            (2, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")]
 
     def test_start_on_a_bounds_corner(self, monkeypatch):
         corner = np.array([bounds[i % 2] for i, bounds in enumerate(LOG_BOUNDS)])
@@ -258,14 +298,14 @@ class TestLbfgsbLoop:
 
     def test_failure_value_with_zero_gradient(self):
         x0 = default_initialization(1.0, 0).to_log_vector()
-        _, f, _, iterations, message = assert_matches_minimize(
+        _, f, _, iterations, evaluations, message = assert_matches_minimize(
             lambda x: (_FAILURE_VALUE, np.zeros(N_PARAMS)), x0, 200)
-        assert (f, iterations) == (_FAILURE_VALUE, 0)
+        assert (f, iterations, evaluations) == (_FAILURE_VALUE, 0, 1)
         assert message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
 
     def test_wrong_gradient_ends_abnormally(self):
         x0 = default_initialization(1.0, 0).to_log_vector()
-        _, _, _, _, message = assert_matches_minimize(lambda x: (float(x @ x), -2 * x), x0, 200)
+        message = assert_matches_minimize(lambda x: (float(x @ x), -2 * x), x0, 200)[-1]
         assert message == "ABNORMAL: "
 
     def test_unknown_setulb_signature_raises(self, monkeypatch):
