@@ -23,7 +23,6 @@ load it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -37,7 +36,7 @@ if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
 
 import numpy as np
 
-from .data import DataValidationError, _format_number, load_dataset, write_csv
+from .data import DataValidationError, _format_number, load_dataset, read_csv, write_csv
 from .evaluation import (_METRICS, MODELS, CityData, ForecastRow, ProtocolConfig,
                          aggregate_reports, build_design, gp_forecast, query_row,
                          run_backtest, target_weeks)
@@ -375,22 +374,9 @@ def cmd_report(cfg: RunConfig) -> int:
 
     trajectories = []
     for cid, m in listed:
-        path = os.path.join(cfg.out_dir, f"forecast_{cid}_{m}.csv")
-        try:
-            fh = open(path, newline="", encoding="utf-8")
-        except FileNotFoundError:
-            raise DataValidationError("file not found", file=path) from None
-        with fh:
-            rows = list(csv.reader(fh))
-        if not rows or tuple(rows[0]) != FORECAST_HEADER:
-            raise DataValidationError(f"expected header {','.join(FORECAST_HEADER)}",
-                                      file=path, line=1)
-        for line, row in enumerate(rows[1:], start=2):
-            if len(row) != len(FORECAST_HEADER):
-                raise DataValidationError(f"expected {len(FORECAST_HEADER)} fields, "
-                                          f"found {len(row)}", file=path, line=line)
+        rows = read_csv(os.path.join(cfg.out_dir, f"forecast_{cid}_{m}.csv"), FORECAST_HEADER)
         trajectories.append((f"trajectory_{cid}_{m}.csv",
-                             [(r[0], r[1], r[2], r[4], r[5]) for r in rows[1:]]))
+                             [(r[0], r[1], r[2], r[4], r[5]) for _, r in rows]))
 
     write_csv(os.path.join(cfg.out_dir, "scatter.csv"),
               ("metric", "model_a", "model_b", "city_id", "value_a", "value_b"), scatter)

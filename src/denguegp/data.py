@@ -6,7 +6,9 @@ figure per city, weekly case counts per city, weather-station
 coordinates, and weekly station climate (rainfall mm, temperature C,
 relative humidity %).  Loading validates schemas, aligns every city to a
 common week window, fills isolated climate gaps, and assigns each city to
-its nearest station by great-circle distance.
+its nearest station by great-circle distance.  load_dataset is the one
+gate for outside input: it checks every value before a record is built,
+so CityRecord and StationRecord do not check again.
 """
 
 from __future__ import annotations
@@ -57,16 +59,6 @@ class CityRecord:
     latitude: float
     longitude: float
     population: int
-
-    def __post_init__(self):
-        if self.region not in REGIONS:
-            raise ValueError(f"unknown region {self.region!r}")
-        if not -90 <= self.latitude <= 90:
-            raise ValueError("latitude out of range")
-        if not -180 <= self.longitude <= 180:
-            raise ValueError("longitude out of range")
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +112,6 @@ class StationRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "climate", np.asarray(self.climate, dtype=float))
-        if self.climate.ndim != 2 or self.climate.shape[1] != 3:
-            raise ValueError("climate must have shape (n_weeks, 3)")
-        if not np.all(np.isfinite(self.climate)):
-            raise ValueError("climate must be finite after gap filling")
-        if not -90 <= self.latitude <= 90:
-            raise ValueError("latitude out of range")
-        if not -180 <= self.longitude <= 180:
-            raise ValueError("longitude out of range")
 
     def __eq__(self, other):
         if not isinstance(other, StationRecord):
@@ -225,10 +209,9 @@ def compute_dir(cases: WeeklySeries, population: int) -> WeeklySeries:
     return WeeklySeries(cases.city_id, cases.start_week, cases.values * 1e5 / population)
 
 
-def _read_rows(path: str) -> list:
-    """(line, cells) for each data row of a bundle file, after checking
-    its header against BUNDLE."""
-    header = BUNDLE[os.path.basename(path)]
+def read_csv(path: str, header) -> list:
+    """(line, cells) for each non-blank data row of a UTF-8 CSV, after
+    checking its header and every row's width; the mirror of write_csv."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -248,7 +231,7 @@ def _read_rows(path: str) -> list:
                 continue
             if len(row) != len(header):
                 raise DataValidationError(
-                    f"expected {len(header)} columns, got {len(row)}", file=path, line=i)
+                    f"expected {len(header)} fields, found {len(row)}", file=path, line=i)
             rows.append((i, row))
     return rows
 
@@ -316,7 +299,7 @@ def load_dataset(data_dir: str) -> Dataset:
         os.path.join(data_dir, name) for name in BUNDLE)
 
     city_rows = {}
-    for line, row in _read_rows(cities_path):
+    for line, row in read_csv(cities_path, BUNDLE["cities.csv"]):
         cid, name, region, lat, lon = row
         if cid in city_rows:
             raise DataValidationError(f"duplicate city {cid!r}", file=cities_path, line=line)
@@ -327,10 +310,13 @@ def load_dataset(data_dir: str) -> Dataset:
         city_rows[cid] = (name, region) + _parse_coordinates(lat, lon, cities_path, line)
 
     populations = {}
-    for line, row in _read_rows(population_path):
+    for line, row in read_csv(population_path, BUNDLE["population.csv"]):
         cid, pop = row
         if cid in populations:
             raise DataValidationError(f"duplicate city {cid!r}", file=population_path, line=line)
+        if cid not in city_rows:
+            raise DataValidationError(f"population for unknown city {cid!r}",
+                                      file=population_path, line=line)
         p = _parse_int(pop, "population", population_path, line)
         if p < 1:
             raise DataValidationError("population must be >= 1", file=population_path, line=line)
@@ -344,7 +330,7 @@ def load_dataset(data_dir: str) -> Dataset:
         cities[cid] = CityRecord(cid, name, region, lat, lon, populations[cid])
 
     counts = {}
-    for line, row in _read_rows(cases_path):
+    for line, row in read_csv(cases_path, BUNDLE["cases.csv"]):
         cid, week, value = row
         w = _parse_int(week, "week", cases_path, line)
         if w < 1:
@@ -379,7 +365,7 @@ def load_dataset(data_dir: str) -> Dataset:
             raise DataValidationError(f"city {cid!r} has no case rows", file=cases_path)
 
     station_coords = {}
-    for line, row in _read_rows(stations_path):
+    for line, row in read_csv(stations_path, BUNDLE["stations.csv"]):
         sid, lat, lon = row
         if sid in station_coords:
             raise DataValidationError(f"duplicate station {sid!r}", file=stations_path, line=line)
@@ -389,7 +375,7 @@ def load_dataset(data_dir: str) -> Dataset:
 
     # blank climate cells are allowed and filled after the weeks are assembled
     climate_rows = {}
-    for line, row in _read_rows(climate_path):
+    for line, row in read_csv(climate_path, BUNDLE["climate.csv"]):
         sid, week = row[0], row[1]
         if sid not in station_coords:
             raise DataValidationError(f"climate rows for unknown station {sid!r}",
@@ -425,9 +411,7 @@ def load_dataset(data_dir: str) -> Dataset:
                     file=climate_path) from None
         stations[sid] = StationRecord(sid, lat, lon, start, filled)
 
-    ordered_stations = [stations[sid] for sid in sorted(stations)]
-    assignments = {cid: nearest_station(cities[cid], ordered_stations)
-                   for cid in sorted(cities)}
+    assignments = {cid: nearest_station(cities[cid], stations.values()) for cid in sorted(cities)}
     return Dataset(cities=cities, cases=cases, stations=stations, assignments=assignments)
 
 

@@ -173,8 +173,7 @@ def make_multi_city_fixture(out_dir: str, n_cities: int, variations=None,
                                  lat, lon, population)
         stations[sid] = StationRecord(sid, lat + 0.05, lon, 1, draw.raw_covariates)
 
-    ordered = [stations[sid] for sid in sorted(stations)]
-    assignments = {cid: nearest_station(cities[cid], ordered) for cid in sorted(cities)}
+    assignments = {cid: nearest_station(cities[cid], stations.values()) for cid in sorted(cities)}
     ds = Dataset(cities=cities, cases=cases, stations=stations, assignments=assignments)
 
     save_dataset(ds, out_dir)

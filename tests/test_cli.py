@@ -54,6 +54,13 @@ def copy_bundle(src, dst):
     return dst
 
 
+def copy_report_inputs(src, dst):
+    """Copy summary.json and the forecast CSVs, which report reads."""
+    for name in os.listdir(src):
+        if name == "summary.json" or name.startswith("forecast_"):
+            shutil.copy(os.path.join(src, name), dst / name)
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     """Two seasonal synthetic cities, 150 weeks."""
@@ -210,6 +217,12 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"{name}:2: lat must lie in [-90, 90], got -95.0" in err
         assert not out.exists()
+
+    def test_out_dir_that_is_a_file_exits_4(self, sim_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["ingest", "--data-dir", sim_dir, "--out-dir", str(taken)]) == 4
+        assert "i/o error: [Errno 17] File exists" in capsys.readouterr().err
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["ingest", "--data-dir", str(tmp_path / "void"),
@@ -462,9 +475,7 @@ class TestReportCommand:
 
     def test_short_forecast_row_exits_2_and_writes_nothing(self, backtest_dir, tmp_path,
                                                            capsys):
-        for name in os.listdir(backtest_dir):
-            if name == "summary.json" or name.startswith("forecast_"):
-                shutil.copy(os.path.join(backtest_dir, name), tmp_path / name)
+        copy_report_inputs(backtest_dir, tmp_path)
         header = ",".join(read_csv(os.path.join(backtest_dir, "forecast_C001_gp.csv"))[0])
         (tmp_path / "forecast_C001_gp.csv").write_text(header + "\n105,1.0\n")
         before = sorted(os.listdir(tmp_path))
@@ -472,12 +483,23 @@ class TestReportCommand:
         assert "forecast_C001_gp.csv:2: expected 7 fields, found 2" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_blank_forecast_rows_are_skipped(self, backtest_dir, tmp_path):
+        plain, blank = tmp_path / "plain", tmp_path / "blank"
+        for d in (plain, blank):
+            d.mkdir()
+            copy_report_inputs(backtest_dir, d)
+        with open(blank / "forecast_C001_gp.csv", "a", newline="", encoding="utf-8") as fh:
+            fh.write("\r\n")
+        for d in (plain, blank):
+            assert main(["report", "--out-dir", str(d)]) == 0
+        for name in os.listdir(plain):
+            if not name.startswith("forecast_"):
+                assert read_bytes(blank / name) == read_bytes(plain / name), name
+
     @pytest.mark.parametrize("broken", ["missing", "foreign header"])
     def test_unreadable_listed_forecast_exits_2_and_writes_nothing(self, backtest_dir,
                                                                    tmp_path, capsys, broken):
-        for name in os.listdir(backtest_dir):
-            if name == "summary.json" or name.startswith("forecast_"):
-                shutil.copy(os.path.join(backtest_dir, name), tmp_path / name)
+        copy_report_inputs(backtest_dir, tmp_path)
         listed = tmp_path / "forecast_C002_ar.csv"
         if broken == "missing":
             listed.unlink()

@@ -54,6 +54,67 @@ def write_fixture(tmp_path, cases=None, population=None, climate=None,
     return str(tmp_path)
 
 
+def set_cell(row, column, text):
+    """A REJECTIONS edit: cell `column` of data row `row` becomes `text`."""
+    def edit(rows):
+        rows[row][column] = text
+        return rows
+    return edit
+
+
+# one fault each against write_fixture's bundle: (file, edit of its data rows,
+# or None for an empty file; the start of the message)
+REJECTIONS = [
+    pytest.param("cases.csv", None, "cases.csv:1: empty file", id="empty file"),
+    pytest.param("cities.csv", lambda rows: [rows[0], rows[1][:4]],
+                 "cities.csv:3: expected 5 fields, found 4", id="short row"),
+    pytest.param("population.csv", lambda rows: [rows[0], [], ["c2", "0"]],
+                 "population.csv:4: population must be >= 1", id="blank row counts as a line"),
+    pytest.param("population.csv", set_cell(1, 1, "many"),
+                 "population.csv:3: population must be an integer, got 'many'",
+                 id="not an integer"),
+    pytest.param("climate.csv", set_cell(3, 3, "warm"),
+                 "climate.csv:5: temperature_c must be a number, got 'warm'", id="not a number"),
+    pytest.param("stations.csv", set_cell(0, 1, "inf"),
+                 "stations.csv:2: lat must be finite", id="infinite coordinate"),
+    pytest.param("climate.csv", set_cell(1, 2, "nan"),
+                 "climate.csv:3: rainfall_mm must be finite", id="nan climate cell"),
+    pytest.param("cities.csv", lambda rows: rows + [rows[0]],
+                 "cities.csv:4: duplicate city 'c1'", id="duplicate city"),
+    pytest.param("population.csv", lambda rows: rows + [rows[1]],
+                 "population.csv:4: duplicate city 'c2'", id="duplicate population"),
+    pytest.param("population.csv", lambda rows: rows + [["C099", "123456"]],
+                 "population.csv:4: population for unknown city 'C099'",
+                 id="population for unknown city"),
+    pytest.param("population.csv", set_cell(0, 1, "0"),
+                 "population.csv:2: population must be >= 1", id="population below 1"),
+    pytest.param("cases.csv", set_cell(0, 1, "0"),
+                 "cases.csv:2: week must be >= 1", id="case week below 1"),
+    pytest.param("stations.csv", lambda rows: rows + [rows[0]],
+                 "stations.csv:4: duplicate station 's1'", id="duplicate station"),
+    pytest.param("stations.csv", lambda rows: [],
+                 "stations.csv: no stations", id="no stations"),
+    pytest.param("climate.csv", lambda rows: rows + [["s9", "1", "1", "1", "1"]],
+                 "climate.csv:26: climate rows for unknown station 's9'",
+                 id="climate for unknown station"),
+    pytest.param("climate.csv", lambda rows: rows + [rows[4]],
+                 "climate.csv:26: duplicate (station, week) row ('s1', 5)",
+                 id="duplicate station week"),
+    pytest.param("climate.csv", lambda rows: rows[:12],
+                 "climate.csv: station 's2' has no climate rows", id="station without climate"),
+    pytest.param("cities.csv", set_cell(1, 2, "Atlantis"),
+                 "cities.csv:3: region must be one of North, ", id="unknown region"),
+    pytest.param("cities.csv", set_cell(0, 3, "90.5"),
+                 "cities.csv:2: lat must lie in [-90, 90], got 90.5", id="city latitude"),
+    pytest.param("cities.csv", set_cell(1, 4, "-181"),
+                 "cities.csv:3: lon must lie in [-180, 180], got -181.0", id="city longitude"),
+    pytest.param("stations.csv", set_cell(1, 1, "-91"),
+                 "stations.csv:3: lat must lie in [-90, 90], got -91.0", id="station latitude"),
+    pytest.param("stations.csv", set_cell(0, 2, "180.25"),
+                 "stations.csv:2: lon must lie in [-180, 180], got 180.25", id="station longitude"),
+]
+
+
 class TestWeeklySeries:
     def test_accessors(self):
         s = WeeklySeries("c1", 5, np.array([1.0, 2.0, 3.0]))
@@ -228,6 +289,22 @@ class TestLoadDataset:
         climate = climate_rows("s1", 8) + climate_rows("s2", 12)
         with pytest.raises(DataValidationError, match="does not cover case window"):
             load_dataset(write_fixture(tmp_path, climate=climate))
+
+    @pytest.mark.parametrize("name, edit, message", REJECTIONS)
+    def test_each_rejection_names_its_file(self, tmp_path, name, edit, message):
+        # rows[k] is line k + 2 of the file; a fault in one row names that
+        # line, a fault in joining rows or files names the file only
+        data = write_fixture(tmp_path)
+        path = tmp_path / name
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        if edit is None:
+            path.write_text("")
+        else:
+            write_csv(path, header, edit(rows))
+        with pytest.raises(DataValidationError) as caught:
+            load_dataset(data)
+        assert str(caught.value).startswith(message)
 
 
 class TestClimateGapFilling:
