@@ -29,7 +29,7 @@ def main():
     h = KernelHyperparameters(
         sigma_loc_sq=0.05, ell_loc=2.0,
         sigma_qp_sq=2.0, ell_qp=80.0, ell_per=0.8, period=52.0,
-        sigma_lin_sq=0.01, ell_rain=50.0, ell_temp=30.0, ell_hum=70.0,
+        ell_rain=50.0, ell_temp=30.0, ell_hum=70.0,
         sigma_noise_sq=0.02)
 
     print("Hyperparameters for a strongly seasonal city:")
@@ -54,12 +54,12 @@ def main():
 
     print("Linear covariate part with ARD lengthscales:")
     x_base = np.array([1.0, 1.0, 1.0])
-    same = linear_ard(x_base, x_base, h.sigma_lin_sq, h.ard_lengthscales)
+    same = linear_ard(x_base, x_base, h.ard_lengthscales)
     print(f"  identical covariates, default lengthscales : {same:.6f}")
     tight = dataclasses.replace(h, ell_rain=1.0)
-    same_tight = linear_ard(x_base, x_base, tight.sigma_lin_sq, tight.ard_lengthscales)
+    same_tight = linear_ard(x_base, x_base, tight.ard_lengthscales)
     print(f"  same, but ell_rain shrunk to 1             : {same_tight:.6f}")
-    opposite = linear_ard(x_base, -x_base, tight.sigma_lin_sq, tight.ard_lengthscales)
+    opposite = linear_ard(x_base, -x_base, tight.ard_lengthscales)
     print(f"  opposite-sign covariates, ell_rain = 1     : {opposite:.6f}")
     print()
     print("A small ARD lengthscale amplifies its covariate's dot product,")
@@ -77,7 +77,7 @@ def main():
     parts = (
         matern52(52, h.sigma_loc_sq, h.ell_loc),
         matern52(52, h.sigma_qp_sq, h.ell_qp) * periodic(52, h.period, h.ell_per),
-        linear_ard(x_a, x_b, h.sigma_lin_sq, h.ard_lengthscales),
+        linear_ard(x_a, x_b, h.ard_lengthscales),
     )
     print(f"  local {parts[0]:.6f} + quasi-periodic {parts[1]:.6f}"
           f" + linear {parts[2]:.6f} = {sum(parts):.6f}")

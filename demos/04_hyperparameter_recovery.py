@@ -53,10 +53,11 @@ def main():
     print("(the optimizer sees this particular draw, the generating values")
     print("only the prior) and the period within a week or two of 52.  The")
     print("generating process gave the covariates almost no weight, so the")
-    print("optimizer drives sigma_lin_sq to its lower bound; with the")
-    print("linear part switched off the ARD lengthscales are unidentified")
-    print("and land wherever the search left them.  Both are the right")
-    print("reading of this data, not a failure to converge.")
+    print("ARD lengthscales are unidentified and land wherever the search")
+    print("left them.  That is the right reading of this data, not a")
+    print("failure to converge.  The generating lml leaves out the draw's")
+    print(f"constant bias ({spec.bias:g}), which the model does not fit:")
+    print("the targets are centred, so a constant has little to explain.")
     print()
 
     rng = np.random.default_rng(7)

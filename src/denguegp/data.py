@@ -332,6 +332,9 @@ def load_dataset(data_dir: str) -> Dataset:
     counts = {}
     for line, row in read_csv(cases_path, BUNDLE["cases.csv"]):
         cid, week, value = row
+        if cid not in cities:
+            raise DataValidationError(f"case rows for unknown city {cid!r}",
+                                      file=cases_path, line=line)
         w = _parse_int(week, "week", cases_path, line)
         if w < 1:
             raise DataValidationError("week must be >= 1", file=cases_path, line=line)
@@ -349,8 +352,6 @@ def load_dataset(data_dir: str) -> Dataset:
     cases = {}
     window = None
     for cid in sorted(counts):
-        if cid not in cities:
-            raise DataValidationError(f"case rows for unknown city {cid!r}", file=cases_path)
         start, values = _contiguous_series(counts[cid], f"city {cid!r}", cases_path)
         series = WeeklySeries(cid, start, np.array(values, dtype=float))
         if window is None:

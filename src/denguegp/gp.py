@@ -247,8 +247,8 @@ def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
     Gradient entries follow kernels.PARAM_NAMES: 1/2 tr(W dK/dtheta) with
     W = alpha alpha^T - (K + sigma^2 I)^-1 (GPML eq. 5.9), which
     kernels.gram_gradients contracts without forming W, from alpha, the
-    lower triangle of the inverse (dpotri) and the inverse times
-    [X, 1] (one dpotrs, which also gives alpha).  The time kernel is
+    lower triangle of the inverse (dpotri) and the inverse times X
+    (one dpotrs, which also gives alpha).  The time kernel is
     evaluated once and shared by the Gram matrix and its gradients.
     lag is kernels.lag_table(weeks), which optimize builds once per
     design.  The design is not validated here: this runs once per
@@ -258,7 +258,7 @@ def lml_value_and_gradient(weeks, X, targets, h: KernelHyperparameters,
     by_lag = _by_lag(weeks, h, lag)
     K = gram_from_arrays(weeks, X, h, include_noise=True, by_lag=by_lag)
     L, _ = _chol_with_jitter(K)
-    solved = _cho_solve(L, np.column_stack([targets, X, np.ones(targets.size)]))
+    solved = _cho_solve(L, np.column_stack([targets, X]))
     alpha = solved[:, 0]
     value = _lml_from_factors(targets, L, alpha)
     return value, 0.5 * gram_gradients(X, h, alpha, _inverse_lower(L), solved[:, 1:],

@@ -35,7 +35,6 @@ PARAMETERS = {
     "ell_qp": (0.5, 300.0, lambda v: 58.0),
     "ell_per": (0.5, 300.0, lambda v: 1.0),
     "period": (20.0, 110.0, lambda v: 52.0),
-    "sigma_lin_sq": (1e-6, 1e3, lambda v: v / 3),
     "ell_rain": (0.5, 300.0, lambda v: 30.0),
     "ell_temp": (0.5, 300.0, lambda v: 30.0),
     "ell_hum": (0.5, 300.0, lambda v: 30.0),
@@ -46,7 +45,7 @@ PARAMETERS = {
 LOG_BOUNDS = tuple((math.log(PARAMETERS[n][0]), math.log(PARAMETERS[n][1]))
                    for n in PARAM_NAMES)
 
-# L-BFGS-B's settings.  The memory of 20 correction pairs exceeds the 11
+# L-BFGS-B's settings.  The memory of 20 correction pairs exceeds the 10
 # parameters, so the quasi-Newton model keeps curvature from more steps
 # than there are directions.  A climb stops when an iteration lowers the
 # objective by less than _FACTR * eps (about 2.2e-8) relative, or when the

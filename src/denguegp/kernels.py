@@ -12,8 +12,9 @@ attached to each week.
 * k_qp * k_per -- quasi-periodic part: a Matern-5/2 envelope times an
   exp-sine-squared kernel, correlating the same phase of nearby seasons
   while letting distant seasons decorrelate.
-* k_lin  -- linear kernel with a bias term and one inverse-squared
-  lengthscale per covariate (large lengthscale = irrelevant covariate).
+* k_lin  -- linear kernel with one inverse-squared lengthscale per
+  covariate (large lengthscale = irrelevant covariate) and no constant
+  bias: the targets are centred per view, so a bias has nothing to fit.
 
 A design is n whole-number week indices and an (n, 3) matrix of
 covariate rows; the time parts are evaluated once per lag, through a
@@ -37,7 +38,7 @@ COVARIATE_DIM = 3
 
 @dataclass(frozen=True)
 class KernelHyperparameters:
-    """The ten covariance-function parameters plus observation noise.
+    """The nine covariance-function parameters plus observation noise.
 
     Variances are on the squared log-incidence scale, time lengthscales
     in weeks, the ARD lengthscales in standardized-covariate units.
@@ -55,7 +56,6 @@ class KernelHyperparameters:
     ell_qp: float
     ell_per: float
     period: float
-    sigma_lin_sq: float
     ell_rain: float
     ell_temp: float
     ell_hum: float
@@ -77,7 +77,7 @@ class KernelHyperparameters:
         return np.array([self.ell_rain, self.ell_temp, self.ell_hum])
 
     def to_log_vector(self) -> np.ndarray:
-        """Pack all 11 parameters as natural logs, in PARAM_NAMES order."""
+        """Pack all 10 parameters as natural logs, in PARAM_NAMES order."""
         with np.errstate(divide="ignore"):  # log(0) -> -inf for zero noise
             return np.log([getattr(self, n) for n in PARAM_NAMES])
 
@@ -129,15 +129,15 @@ def periodic(dt, period, roughness):
     return np.exp(-2.0 * s * s / (roughness * roughness))
 
 
-def linear_ard(x_i, x_j, bias, lengthscales):
-    """Linear kernel with bias: bias + sum_d x_i[d] x_j[d] / l_d^2."""
+def linear_ard(x_i, x_j, lengthscales):
+    """Linear kernel without bias: sum_d x_i[d] x_j[d] / l_d^2."""
     x_i = np.asarray(x_i, dtype=float)
     x_j = np.asarray(x_j, dtype=float)
     ell = np.asarray(lengthscales, dtype=float)
     if x_i.shape != x_j.shape or x_i.shape != ell.shape:
         raise ValueError("covariate vectors and lengthscales must share a shape")
     _check_positive(**{f"lengthscale[{d}]": ell[d] for d in range(ell.size)})
-    return float(bias + np.sum(x_i * x_j / (ell * ell)))
+    return float(np.sum(x_i * x_j / (ell * ell)))
 
 
 def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> float:
@@ -148,7 +148,7 @@ def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> floa
     dt = abs(week_a - week_b)
     k1 = matern52(dt, h.sigma_loc_sq, h.ell_loc)
     k2 = matern52(dt, h.sigma_qp_sq, h.ell_qp) * periodic(dt, h.period, h.ell_per)
-    k3 = linear_ard(x_a, x_b, h.sigma_lin_sq, h.ard_lengthscales)
+    k3 = linear_ard(x_a, x_b, h.ard_lengthscales)
     return float(k1 + k2 + k3)
 
 
@@ -225,7 +225,6 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
     Z = np.asarray(X, dtype=float) / h.ard_lengthscales
     k = (parts[0] + parts[2])[lag.pairs]
     k += Z @ Z.T
-    k += h.sigma_lin_sq
     if include_noise:
         diagonal = k.reshape(-1)[::k.shape[0] + 1]  # a view: k is C-ordered
         diagonal += h.sigma_noise_sq
@@ -235,8 +234,7 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
 def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     """Covariances between one query (week, x) and each design row, noise-free."""
     parts = _time_parts(np.abs(np.asarray(weeks, dtype=float) - float(week)), h)
-    linear = h.sigma_lin_sq + np.asarray(X, dtype=float) @ (x / h.ard_lengthscales**2)
-    return parts[0] + parts[2] + linear
+    return parts[0] + parts[2] + np.asarray(X, dtype=float) @ (x / h.ard_lengthscales**2)
 
 
 def gram_gradients(X, h: KernelHyperparameters, alpha, inverse_lower, inverse_cols,
@@ -246,15 +244,15 @@ def gram_gradients(X, h: KernelHyperparameters, alpha, inverse_lower, inverse_co
     M = (K + sigma_noise^2 I)^-1), without forming W or any n x n gradient.
 
     M enters as inverse_lower, its lower triangle with the upper one
-    zero (as LAPACK dpotri leaves it), and as inverse_cols = M [X, 1],
-    shape (n, 4).  The time gradients contract _time_parts with the sums
+    zero (as LAPACK dpotri leaves it), and as inverse_cols = M X,
+    shape (n, 3).  The time gradients contract _time_parts with the sums
     of W over each lag: those of alpha alpha^T autocorrelate alpha summed
     per week, which holds for any whole weeks, with gaps, repeats or no
     order; those of M count its strict lower triangle twice.  The ARD
-    and bias gradients are quadratic forms of W in the columns of [X, 1],
-    and the noise gradient is sigma_noise^2 tr(W).  The design's weeks
-    enter only through by_lag, which is _by_lag(weeks, h), as the caller
-    also passes it to gram_from_arrays.
+    gradients are quadratic forms of W in the columns of X, and the
+    noise gradient is sigma_noise^2 tr(W).  The design's weeks enter
+    only through by_lag, which is _by_lag(weeks, h), as the caller also
+    passes it to gram_from_arrays.
     """
     lag, parts = by_lag
     X = np.asarray(X, dtype=float)
@@ -267,8 +265,6 @@ def gram_gradients(X, h: KernelHyperparameters, alpha, inverse_lower, inverse_co
     trace = inverse_lower.trace()
     lag_sums = 2.0 * (outer_sums - lower_sums)
     lag_sums[0] += trace - outer_sums[0]
-    ard = -2.0 * ((X.T @ alpha) ** 2 - (X * inverse_cols[:, :3]).sum(axis=0))
-    bias = alpha.sum() ** 2 - inverse_cols[:, 3].sum()
-    return np.concatenate([parts @ lag_sums, [h.sigma_lin_sq * bias],
-                           ard / h.ard_lengthscales**2,
+    ard = -2.0 * ((X.T @ alpha) ** 2 - (X * inverse_cols).sum(axis=0))
+    return np.concatenate([parts @ lag_sums, ard / h.ard_lengthscales**2,
                            [h.sigma_noise_sq * (alpha @ alpha - trace)]])

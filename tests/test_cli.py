@@ -537,7 +537,7 @@ class TestTrainForecast:
         payload = read_json(os.path.join(trained_dir, "model_C001.json"))
         assert payload["city_id"] == "C001"
         assert payload["training_end_week"] == 150
-        assert len(payload["hyperparameters"]) == 11
+        assert len(payload["hyperparameters"]) == 10
         assert all(v > 0 for v in payload["hyperparameters"].values())
         assert len(payload["transform"]["lags"]) == 3
         diag = read_json(os.path.join(trained_dir, "train_diagnostics_C001.json"))
@@ -561,6 +561,20 @@ class TestTrainForecast:
             assert r[1] == ""  # beyond the observed series
             assert float(r[2]) >= 0.0
             assert r[6] == "gp"
+
+    def test_saved_model_with_a_linear_bias_forecasts_without_it(self, sim_dir, trained_dir,
+                                                                 tmp_path):
+        # a model file from before the linear kernel lost its constant bias
+        # carries an eleventh key, sigma_lin_sq; loading reads PARAM_NAMES only
+        payload = read_json(os.path.join(trained_dir, "model_C001.json"))
+        old = dict(payload, hyperparameters=dict(payload["hyperparameters"], sigma_lin_sq=0.5))
+        for name, saved in (("current", payload), ("old", old)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "model_C001.json").write_text(json.dumps(saved))
+            assert main(["forecast", "--data-dir", sim_dir, "--out-dir", str(tmp_path / name),
+                         "--city", "C001"]) == 0
+        assert (read_bytes(tmp_path / "old" / "prediction_C001.csv")
+                == read_bytes(tmp_path / "current" / "prediction_C001.csv"))
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_forecast_nonpositive_horizon_exits_2(self, sim_dir, trained_dir, tmp_path,
@@ -614,7 +628,7 @@ class TestTrainForecast:
         # first jitter underflows to 0
         done = self.forecast_with_edited_model(
             sim_dir, trained_dir, tmp_path, sigma_loc_sq=5e-324, ell_loc=300.0,
-            sigma_qp_sq=5e-324, ell_qp=300.0, sigma_lin_sq=5e-324, ell_rain=1e300,
+            sigma_qp_sq=5e-324, ell_qp=300.0, ell_rain=1e300,
             ell_temp=1e300, ell_hum=1e300, sigma_noise_sq=0.0)
         assert done.returncode == 3
         assert "model error: Cholesky factorization failed" in done.stderr

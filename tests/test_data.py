@@ -90,6 +90,8 @@ REJECTIONS = [
                  "population.csv:2: population must be >= 1", id="population below 1"),
     pytest.param("cases.csv", set_cell(0, 1, "0"),
                  "cases.csv:2: week must be >= 1", id="case week below 1"),
+    pytest.param("cases.csv", lambda rows: rows[:3] + [["zz", "1", "5"]] + rows[3:],
+                 "cases.csv:5: case rows for unknown city 'zz'", id="case rows for unknown city"),
     pytest.param("stations.csv", lambda rows: rows + [rows[0]],
                  "stations.csv:4: duplicate station 's1'", id="duplicate station"),
     pytest.param("stations.csv", lambda rows: [],
@@ -234,11 +236,6 @@ class TestLoadDataset:
         rows = [r for r in case_rows("c1", range(12)) if r[1] != 7]
         rows += case_rows("c2", range(12))
         with pytest.raises(DataValidationError, match="week 7 missing"):
-            load_dataset(write_fixture(tmp_path, cases=rows))
-
-    def test_unknown_city_in_cases(self, tmp_path):
-        rows = case_rows("c1", range(12)) + case_rows("c2", range(12)) + case_rows("zz", range(12))
-        with pytest.raises(DataValidationError, match="unknown city 'zz'"):
             load_dataset(write_fixture(tmp_path, cases=rows))
 
     def test_city_without_cases(self, tmp_path):

@@ -65,7 +65,7 @@ def report_stub(city_id, model, pearson_value, auc_medium=None, auc_high=None,
 
 FIXED_H = KernelHyperparameters(
     sigma_loc_sq=0.1, ell_loc=2.0, sigma_qp_sq=1.0, ell_qp=58.0, ell_per=1.0,
-    period=52.0, sigma_lin_sq=0.02, ell_rain=30.0, ell_temp=30.0, ell_hum=30.0,
+    period=52.0, ell_rain=30.0, ell_temp=30.0, ell_hum=30.0,
     sigma_noise_sq=0.05)
 
 

@@ -1,8 +1,9 @@
 """Bit pins for the likelihood path: a frozen copy of an earlier, plainer
 implementation of the time kernel, the Gram matrix, the
 dpotrf/dpotrs/dpotri chain and the gradient contraction must agree with
-lml_value_and_gradient, fit and predict to the last bit.  The optimizer's
-box and restart starts are pinned the same way, against literals."""
+lml_value_and_gradient, fit and predict to the last bit.  The synthetic
+generator is pinned to the same chain plus its constant bias, and the
+optimizer's box and restart starts against literals."""
 
 import itertools
 import math
@@ -14,6 +15,7 @@ import scipy.linalg.lapack as lapack
 from denguegp.gp import ModelFitError, fit, lml_value_and_gradient, predict
 from denguegp.hyperopt import LOG_BOUNDS, PARAMETERS, default_initialization
 from denguegp.kernels import PARAM_NAMES, KernelHyperparameters, lag_table
+from denguegp.synth import SynthSpec, draw_from_prior, low_incidence_spec, strongly_periodic_spec
 
 from test_kernels import irregular_design, make_hyperparameters, random_hyperparameters
 
@@ -38,27 +40,38 @@ def frozen_time_parts(dt, h):
     ])
 
 
-def frozen_fit(weeks, X, y, h):
-    """(L, alpha, value, gradient) by the frozen chain; the jitter
-    ladder raises ModelFitError as the shipped one does."""
+def frozen_gram(weeks, X, h):
+    """(lag, parts, K): the week distances, the time parts at lags
+    0..max and the noise-free Gram matrix, by the frozen chain."""
     w = weeks.astype(np.int64)
     lag = np.abs(w[:, None] - w[None, :])
     parts = frozen_time_parts(np.arange(np.ptp(weeks) + 1.0), h)
     Z = X / h.ard_lengthscales
     K = (parts[0] + parts[2])[lag]
     K += Z @ Z.T
-    K += h.sigma_lin_sq
-    K[np.diag_indices_from(K)] += h.sigma_noise_sq
+    return lag, parts, K
+
+
+def frozen_cholesky(K):
+    """Lower factor by the frozen jitter ladder, which raises
+    ModelFitError as the shipped one does."""
     scale, jitter = float(np.mean(np.diag(K))), 0.0
     while True:
-        L, info = lapack.dpotrf(K if jitter == 0.0 else K + jitter * np.eye(len(w)),
+        L, info = lapack.dpotrf(K if jitter == 0.0 else K + jitter * np.eye(len(K)),
                                 lower=1, clean=1)
         if info == 0:
-            break
+            return L
         if jitter >= 1e-4 * scale:
             raise ModelFitError("jitter ladder exhausted")
         jitter = 1e-8 * scale if jitter == 0.0 else jitter * 10.0
-    solved = lapack.dpotrs(L, np.column_stack([y, X, np.ones(y.size)]), lower=1)[0]
+
+
+def frozen_fit(weeks, X, y, h):
+    """(L, alpha, value, gradient) by the frozen chain."""
+    lag, parts, K = frozen_gram(weeks, X, h)
+    K[np.diag_indices_from(K)] += h.sigma_noise_sq
+    L = frozen_cholesky(K)
+    solved = lapack.dpotrs(L, np.column_stack([y, X]), lower=1)[0]
     alpha, cols = solved[:, 0], solved[:, 1:]
     value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * np.log(2 * np.pi))
     inverse = lapack.dpotri(L, lower=1)[0]
@@ -69,10 +82,8 @@ def frozen_fit(weeks, X, y, h):
     trace = np.trace(inverse)
     lag_sums = 2.0 * (outer - lower)
     lag_sums[0] += trace - outer[0]
-    ard = -2.0 * ((X.T @ alpha) ** 2 - np.sum(X * cols[:, :3], axis=0))
-    bias = alpha.sum() ** 2 - cols[:, 3].sum()
-    grad = np.concatenate([parts @ lag_sums, [h.sigma_lin_sq * bias],
-                           ard / h.ard_lengthscales**2,
+    ard = -2.0 * ((X.T @ alpha) ** 2 - np.sum(X * cols, axis=0))
+    grad = np.concatenate([parts @ lag_sums, ard / h.ard_lengthscales**2,
                            [h.sigma_noise_sq * (alpha @ alpha - trace)]])
     return L, alpha, value, 0.5 * grad
 
@@ -81,10 +92,26 @@ def frozen_predict(weeks, X, L, alpha, h, week, x):
     """(mean, variance) at one query, before the shipped round-off clamp."""
     def kvec(wk, Xk):
         parts = frozen_time_parts(np.abs(wk - float(week)), h)
-        return parts[0] + parts[2] + (h.sigma_lin_sq + Xk @ (x / h.ard_lengthscales**2))
+        return parts[0] + parts[2] + Xk @ (x / h.ard_lengthscales**2)
     kstar = kvec(weeks, X)
     v = lapack.dtrtrs(L, kstar, lower=1)[0]
     return float(kstar @ alpha), float(kvec(np.array([float(week)]), x[None, :])[0]) - float(v @ v)
+
+
+def frozen_draw(spec, bias):
+    """(standardized covariates, latent, log observations) by the
+    generating chain of the model that fitted the bias as sigma_lin_sq:
+    time kernel, Z Z^T, the bias, the jitter ladder, then the draw."""
+    rng = np.random.default_rng(spec.seed)
+    weeks = np.arange(1, spec.weeks + 1)
+    raw = np.column_stack([p.sample(weeks, rng) for p in spec.covariates])
+    std = raw.std(axis=0)
+    X = (raw - raw.mean(axis=0)) / np.where(std == 0, 1.0, std)
+    K = frozen_gram(weeks, X, spec.hyperparameters)[2]
+    K += bias
+    latent = frozen_cholesky(K) @ rng.standard_normal(spec.weeks)
+    noise = rng.normal(0.0, 1.0, spec.weeks) * np.sqrt(spec.hyperparameters.sigma_noise_sq)
+    return X, latent, spec.log_offset + latent + noise
 
 
 def assert_bit_identical(weeks, X, y, h):
@@ -142,21 +169,31 @@ class TestFrozenReference:
             weeks, X, y, KernelHyperparameters.from_log_vector(corners[i])) for i in picks]
         assert not all(exhausted)
 
+    def test_generator_keeps_its_draws(self):
+        # each preset with the bias it drew with as the model's sigma_lin_sq
+        for spec, bias in ((SynthSpec(seed=3), 0.02), (low_incidence_spec(seed=4), 0.01),
+                           (strongly_periodic_spec(seed=5), 0.01)):
+            draw = draw_from_prior(spec)
+            X, latent, log_observations = frozen_draw(spec, bias)
+            assert np.array_equal(draw.standardized_covariates, X)
+            assert np.array_equal(draw.latent, latent)
+            assert np.array_equal(draw.log_observations, log_observations)
+
     def test_parameter_table(self):
         assert tuple(PARAMETERS) == PARAM_NAMES
         variance, lengthscale = (1e-6, 1e3), (0.5, 300.0)
         box = [variance, lengthscale, variance, lengthscale, lengthscale, (20.0, 110.0),
-               variance, lengthscale, lengthscale, lengthscale, variance]
+               lengthscale, lengthscale, lengthscale, variance]
         assert LOG_BOUNDS == tuple((math.log(lo), math.log(hi)) for lo, hi in box)
         lo, hi = np.array(LOG_BOUNDS).T
         for target_variance in (0.0, 1e-9, 1e-6, 0.37, 1.0, 7.0, 2.9e3, 1e5):
             v = max(target_variance, 1e-6)
-            start = np.clip(np.log([v / 3, 2.0, v / 3, 58.0, 1.0, 52.0, v / 3,
+            start = np.clip(np.log([v / 3, 2.0, v / 3, 58.0, 1.0, 52.0,
                                     30.0, 30.0, 30.0, v / 10]), lo, hi)
             h = default_initialization(target_variance, 0)
             assert h == KernelHyperparameters.from_log_vector(start)
             rng, expected_rng = np.random.default_rng(613), np.random.default_rng(613)
             for i in (1, 2, 3):
-                jittered = np.clip(start + expected_rng.uniform(-0.7, 0.7, size=11), lo, hi)
+                jittered = np.clip(start + expected_rng.uniform(-0.7, 0.7, size=10), lo, hi)
                 h = default_initialization(target_variance, i, rng)
                 assert h == KernelHyperparameters.from_log_vector(jittered)

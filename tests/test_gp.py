@@ -27,8 +27,7 @@ def unit_diagonal_hyperparameters(noise: float) -> KernelHyperparameters:
     """k(x,x) + noise == 1 exactly (dyadic variances) for zero covariates."""
     signal = 1.0 - noise
     return make_hyperparameters(
-        sigma_loc_sq=signal / 2, sigma_qp_sq=signal / 4, sigma_lin_sq=signal / 4,
-        sigma_noise_sq=noise)
+        sigma_loc_sq=signal / 2, sigma_qp_sq=signal / 2, sigma_noise_sq=noise)
 
 
 def random_instance(rng, n):
@@ -140,13 +139,13 @@ class TestPredict:
 
     def test_reversion_to_prior(self):
         rng = np.random.default_rng(53)
-        h = make_hyperparameters(sigma_lin_sq=1e-12)
+        h = make_hyperparameters()
         X = np.array([rng.normal(size=3) for _ in range(8)])
         model = fit(np.arange(1, 9), X, rng.normal(size=8), h)
         dist = predict(model, 100000, np.zeros(3))
         assert abs(dist.mean) < 1e-8
         assert_allclose(dist.variance,
-                        h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq, rtol=1e-6)
+                        h.sigma_loc_sq + h.sigma_qp_sq, rtol=1e-6)
 
     def test_matches_joint_gaussian_conditioning(self):
         rng = np.random.default_rng(59)
@@ -303,7 +302,7 @@ class TestLmlGradient:
 
     def test_scale_equivariance_of_variance_gradients(self):
         # with zero covariates every kernel term is proportional to one of the
-        # variances, so scaling y by sqrt(2) and all four variances by 2
+        # variances, so scaling y by sqrt(2) and all three variances by 2
         # shifts the lml by a constant and leaves log-variance gradients alone
         rng = np.random.default_rng(101)
         h = random_hyperparameters(rng)
@@ -312,10 +311,10 @@ class TestLmlGradient:
         y = rng.normal(size=8)
         scaled = dataclasses.replace(
             h, sigma_loc_sq=2 * h.sigma_loc_sq, sigma_qp_sq=2 * h.sigma_qp_sq,
-            sigma_lin_sq=2 * h.sigma_lin_sq, sigma_noise_sq=2 * h.sigma_noise_sq)
+            sigma_noise_sq=2 * h.sigma_noise_sq)
         g = lml_grad(weeks, X, y, h)
         g2 = lml_grad(weeks, X, np.sqrt(2) * y, scaled)
-        for name in ("sigma_loc_sq", "sigma_qp_sq", "sigma_lin_sq", "sigma_noise_sq"):
+        for name in ("sigma_loc_sq", "sigma_qp_sq", "sigma_noise_sq"):
             idx = PARAM_NAMES.index(name)
             assert_allclose(g2[idx], g[idx], rtol=1e-8, atol=1e-10)
 

@@ -37,7 +37,6 @@ class TestDefaultInitialization:
         assert_allclose(a.ell_per, 1.0, rtol=1e-14)
         assert_allclose(a.sigma_loc_sq, 0.4, rtol=1e-14)
         assert_allclose(a.sigma_qp_sq, 0.4, rtol=1e-14)
-        assert_allclose(a.sigma_lin_sq, 0.4, rtol=1e-14)
         assert_allclose(a.sigma_noise_sq, 0.12, rtol=1e-14)
         assert_allclose(a.ard_lengthscales, (30.0, 30.0, 30.0), rtol=1e-14)
 

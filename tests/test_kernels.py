@@ -19,21 +19,23 @@ PERIODIC_AT_HALF_PERIOD = 0.1353352832366127
 
 def make_hyperparameters(**overrides) -> KernelHyperparameters:
     base = dict(sigma_loc_sq=0.1, ell_loc=2.0, sigma_qp_sq=1.4, ell_qp=58.0,
-                ell_per=1.0, period=52.0, sigma_lin_sq=0.02,
+                ell_per=1.0, period=52.0,
                 ell_rain=50.0, ell_temp=30.0, ell_hum=70.0, sigma_noise_sq=0.25)
     base.update(overrides)
     return KernelHyperparameters(**base)
 
 
 def random_hyperparameters(rng) -> KernelHyperparameters:
+    sigma_loc_sq = np.exp(rng.uniform(-3, 1))
+    ell_loc = np.exp(rng.uniform(0, 3))
+    sigma_qp_sq = np.exp(rng.uniform(-3, 1))
+    ell_qp = np.exp(rng.uniform(1, 4))
+    ell_per = np.exp(rng.uniform(-0.5, 1))
+    period = rng.uniform(20, 80)
+    rng.uniform(-4, 0)  # the retired linear bias: keeps every later draw where it was
     return KernelHyperparameters(
-        sigma_loc_sq=np.exp(rng.uniform(-3, 1)),
-        ell_loc=np.exp(rng.uniform(0, 3)),
-        sigma_qp_sq=np.exp(rng.uniform(-3, 1)),
-        ell_qp=np.exp(rng.uniform(1, 4)),
-        ell_per=np.exp(rng.uniform(-0.5, 1)),
-        period=rng.uniform(20, 80),
-        sigma_lin_sq=np.exp(rng.uniform(-4, 0)),
+        sigma_loc_sq=sigma_loc_sq, ell_loc=ell_loc, sigma_qp_sq=sigma_qp_sq,
+        ell_qp=ell_qp, ell_per=ell_per, period=period,
         ell_rain=np.exp(rng.uniform(0, 4)),
         ell_temp=np.exp(rng.uniform(0, 4)),
         ell_hum=np.exp(rng.uniform(0, 4)),
@@ -82,7 +84,7 @@ class TestKernelHyperparameters:
 
     def test_param_names_cover_all_fields(self):
         h = make_hyperparameters()
-        assert len(PARAM_NAMES) == 11
+        assert len(PARAM_NAMES) == 10
         vec = h.to_log_vector()
         for i, name in enumerate(PARAM_NAMES):
             assert_allclose(np.exp(vec[i]), getattr(h, name), rtol=1e-14)
@@ -128,33 +130,32 @@ class TestPeriodic:
 
 
 class TestLinearArd:
-    def test_zero_vectors_give_bias(self):
+    def test_zero_vectors_give_zero(self):
         z = np.zeros(3)
-        assert linear_ard(z, z, 0.37, np.array([2.0, 3.0, 4.0])) == 0.37
+        assert linear_ard(z, z, np.array([2.0, 3.0, 4.0])) == 0.0
 
     def test_single_component(self):
         x = np.array([1.0, 0.0, 0.0])
-        got = linear_ard(x, x, 0.0, np.array([2.0, 3.0, 4.0]))
+        got = linear_ard(x, x, np.array([2.0, 3.0, 4.0]))
         assert got == 0.25
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             xi, xj = rng.normal(size=3), rng.normal(size=3)
-            bias = float(rng.uniform(0, 1))
             ells = rng.uniform(0.5, 5, size=3)
-            expected = bias + sum(xi[d] * xj[d] / ells[d] ** 2 for d in range(3))
-            assert_allclose(linear_ard(xi, xj, bias, ells), expected, rtol=1e-12)
+            expected = sum(xi[d] * xj[d] / ells[d] ** 2 for d in range(3))
+            assert_allclose(linear_ard(xi, xj, ells), expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            linear_ard(np.zeros(2), np.zeros(2), 0.1, np.ones(3))
+            linear_ard(np.zeros(2), np.zeros(2), np.ones(3))
 
 
 class TestCompositeKernel:
     def test_diagonal_with_zero_covariates(self):
         h = make_hyperparameters()
-        expected = h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
+        expected = h.sigma_loc_sq + h.sigma_qp_sq
         assert_allclose(composite_kernel(10, np.zeros(3), 10, np.zeros(3), h),
                         expected, rtol=1e-14)
 
@@ -162,8 +163,7 @@ class TestCompositeKernel:
         h = make_hyperparameters()
         # periodic factor is exactly 1 at a full period
         expected = (matern52(52.0, h.sigma_loc_sq, h.ell_loc)
-                    + matern52(52.0, h.sigma_qp_sq, h.ell_qp) * 1.0
-                    + h.sigma_lin_sq)
+                    + matern52(52.0, h.sigma_qp_sq, h.ell_qp) * 1.0)
         assert_allclose(composite_kernel(10, np.zeros(3), 10 + 52, np.zeros(3), h),
                         expected, rtol=1e-12)
 
@@ -176,7 +176,7 @@ class TestCompositeKernel:
             expected = (matern52(dt, h.sigma_loc_sq, h.ell_loc)
                         + matern52(dt, h.sigma_qp_sq, h.ell_qp)
                         * periodic(dt, h.period, h.ell_per)
-                        + linear_ard(xa, xb, h.sigma_lin_sq, h.ard_lengthscales))
+                        + linear_ard(xa, xb, h.ard_lengthscales))
             assert_allclose(composite_kernel(wa, xa, wb, xb, h), expected, rtol=1e-12)
 
     def test_symmetry_is_exact(self):
@@ -199,7 +199,7 @@ class TestGramMatrix:
         h = make_hyperparameters()
         x = np.array([0.5, -0.25, 2.0])
         K = gram_from_arrays([7], x[None, :], h, include_noise=False)
-        expected = (h.sigma_loc_sq + h.sigma_qp_sq + h.sigma_lin_sq
+        expected = (h.sigma_loc_sq + h.sigma_qp_sq
                     + np.sum(x ** 2 / h.ard_lengthscales ** 2))
         assert K.shape == (1, 1)
         assert_allclose(K[0, 0], expected, rtol=1e-14)
@@ -264,8 +264,7 @@ def finite_difference_kernel(a, b, h, index, step=1e-5):
 
 def dense_gram_gradients(weeks, X, h, alpha, M):
     """gram_gradients for W = alpha alpha^T - M, from a dense symmetric M."""
-    cols = np.column_stack([X, np.ones(len(weeks))])
-    return gram_gradients(X, h, alpha, np.tril(M), M @ cols, by_lag=_by_lag(weeks, h))
+    return gram_gradients(X, h, alpha, np.tril(M), M @ X, by_lag=_by_lag(weeks, h))
 
 
 def random_w_factors(rng, n):

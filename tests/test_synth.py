@@ -85,7 +85,7 @@ class TestDrawFromPrior:
         samples = np.array([d.latent[week_index] for d in draws])
         x = draws[0].standardized_covariates[week_index]
         expected = composite_kernel(week_index + 1, x, week_index + 1, x,
-                                    spec.hyperparameters)
+                                    spec.hyperparameters) + spec.bias
         assert float(np.var(samples)) == pytest.approx(expected, rel=0.15)
 
     def test_low_incidence_stays_below_medium_band(self):
@@ -159,4 +159,4 @@ class TestMultiCityFixture:
 
     def test_bad_city_count(self, tmp_path):
         with pytest.raises(ValueError):
-            make_multi_city_fixture(str(tmp_path), 0)
+            make_multi_city_fixture(str(tmp_path), 0, variations=(SynthSpec(),), seed=0)
