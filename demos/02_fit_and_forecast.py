@@ -35,7 +35,7 @@ def main():
         dir_values=draw.dir_series.values[:TRAIN_END].copy(),
         covariates=draw.raw_covariates[:TRAIN_END].copy(),
     )
-    weeks, X, y, state = build_design(view)
+    (weeks, X, y, state), = build_design([view])
     print("Preprocessing summary:")
     print(f"  outlier weeks patched      : {list(state.flagged_weeks) or 'none'}")
     print(f"  selected covariate lags    : rain {state.lags[0]}, "

@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -189,7 +188,10 @@ def _design(cfg: RunConfig, ds, view):
     """build_design for the --city view; a failure is an input error (exit 2)."""
     with _input_error(f"cases.csv and climate.csv: city {cfg.city} with station "
                       f"{ds.assignments[cfg.city]} cannot be preprocessed"):
-        return build_design(view)
+        design, = build_design([view])
+        if isinstance(design, ValueError):
+            raise design
+        return design
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -301,6 +303,9 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
     workers = min(cfg.jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool loads multiprocessing, which a one-worker
+        # run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_city_worker, tasks))
     else:

@@ -7,7 +7,10 @@ at the origin, and the actual value of a target week is read from the
 city only to score its row.  The full preprocessing chain runs once per
 view: the outlier screen and the design built from a view are shared by
 every model backtested on the same city, so a three-model backtest
-preprocesses each origin once, not once per model.
+preprocesses each origin once, not once per model.  build_design takes
+a city's views together, up to _VIEWS_PER_PASS (64) per pass, and
+searches their lags in one array pass, but every number of a view's
+design still comes from that view alone.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .preprocess import (LAG_MIN, MIN_LAG_WEEKS, MIN_SCREEN_WEEKS,
                          standardize_covariates)
 
 MODELS = ("gp", "lm", "ar")
+
+# views one build_design pass preprocesses together: its arrays grow
+# with this many views times the weeks of the longest
+_VIEWS_PER_PASS = 64
 
 # shortest training view each model forecasts from: the GP and the
 # linear model need lag selection, the AR baseline only the outlier screen
@@ -99,8 +106,9 @@ class TrainingView:
 
     Models receive only this object, never the full city, so a forecast
     cannot reach data past the origin even by accident.  It is the only
-    leakage boundary: preprocessing and the baselines estimate from all
-    of the arrays they are given.
+    leakage boundary: the baselines estimate from all of the arrays they
+    are given, and preprocessing, which takes many views at once,
+    estimates each view's statistics from that view's arrays alone.
     """
 
     city_id: str
@@ -164,40 +172,82 @@ class CityData:
         return self.dir_series.value_at(week)
 
 
-def build_design(view: TrainingView):
-    """Full preprocessing of one training view.
+def build_design(views) -> list:
+    """Full preprocessing of each training view, in passes of at most
+    _VIEWS_PER_PASS views.
 
-    Every statistic comes from the view alone, which ends at the forecast
-    origin.  Returns (weeks, X, y, state): design weeks (from start + max
-    lag to the view end), standardized lagged covariate rows, centered
-    log response, and the frozen statistics needed to build query rows
-    and undo the centering.
+    Every statistic of a view's design comes from that view alone, which
+    ends at its forecast origin.  A pass screens each view for outliers
+    (TrainingView.log_series), searches the lags of all of its views in
+    one array pass (select_lag), gathers each view's lagged covariate
+    rows with one fancy index and standardizes them in one masked pass.
+    Returns one entry per view, in order: (weeks, X, y, state), that is
+    the design weeks (from start + max lag to the view end),
+    standardized lagged covariate rows, centered log response, and the
+    frozen statistics needed to build query rows and undo the centering;
+    or, for a view that cannot be preprocessed, the ValueError saying
+    why.
     """
-    log_values, flagged = view.log_series
-    lags = []
-    for d, name in enumerate(CLIMATE_COLUMNS):
+    designs = []
+    for start in range(0, len(views), _VIEWS_PER_PASS):
+        designs += _design_pass(views[start:start + _VIEWS_PER_PASS])
+    return designs
+
+
+def _design_pass(views) -> list:
+    """build_design on one pass of views."""
+    designs = [None] * len(views)
+    screened = []
+    for i, view in enumerate(views):
         try:
-            lags.append(select_lag(view.covariates[:, d], log_values))
+            screened.append((i, view.log_series[0]))
         except ValueError as e:
-            raise ValueError(f"lag selection for {name}: {e}") from None
+            designs[i] = e
+    ready = []
+    searched = select_lag([(views[i].covariates, log_values) for i, log_values in screened],
+                          CLIMATE_COLUMNS)
+    for (i, log_values), lags in zip(screened, searched):
+        if isinstance(lags, ValueError):
+            designs[i] = lags
+        else:
+            ready.append((i, log_values, lags))
+    if not ready:
+        return designs
 
-    offset, n_view = max(lags), view.dir_values.size
-    weeks = np.arange(view.start_week + offset, view.end_week + 1)
-    lagged = np.column_stack([view.covariates[offset - lag:n_view - lag, d]
-                              for d, lag in enumerate(lags)])
-    X, means, stds = standardize_covariates(lagged)
+    # row r of view g's design holds, in column d, the view's week
+    # offset + r - lag[d], read from all of the pass's covariates
+    # stacked; rows past a view's own design, which standardization
+    # ignores, repeat its last row to keep every index in range
+    views_n = np.array([views[i].dir_values.size for i, _, _ in ready])
+    all_lags = np.array([lags for _, _, lags in ready])
+    offsets = all_lags.max(axis=1)
+    n_rows = views_n - offsets
+    row = np.minimum(np.arange(n_rows.max())[:, None], n_rows - 1)
+    first = np.cumsum(views_n) - views_n + offsets
+    stacked = np.concatenate([views[i].covariates for i, _, _ in ready])
+    lagged = stacked[first[:, None] - all_lags + row[:, :, None],
+                     np.arange(all_lags.shape[1])]
 
-    response_mean = float(np.mean(log_values))
-    y = log_values[offset:] - response_mean
-
-    state = TransformState(
-        response_mean=response_mean,
-        covariate_means=tuple(means),
-        covariate_stds=tuple(stds),
-        lags=tuple(lags),
-        flagged_weeks=flagged,
-    )
-    return weeks, X, y, state
+    for (i, log_values, lags), offset, standardized in zip(
+            ready, offsets.tolist(), standardize_covariates(lagged, n_rows)):
+        if isinstance(standardized, ValueError):
+            designs[i] = standardized
+            continue
+        X, means, stds = standardized
+        view = views[i]
+        response_mean = float(np.mean(log_values))
+        try:
+            state = TransformState(response_mean=response_mean,
+                                   covariate_means=tuple(means),
+                                   covariate_stds=tuple(stds),
+                                   lags=lags,
+                                   flagged_weeks=view.log_series[1])
+        except ValueError as e:
+            designs[i] = e
+            continue
+        designs[i] = (np.arange(view.start_week + offset, view.end_week + 1), X,
+                      log_values[offset:] - response_mean, state)
+    return designs
 
 
 def query_row(view: TrainingView, state: TransformState, target_week: int) -> np.ndarray:
@@ -277,9 +327,11 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
     target t is predicted from one training view ending at t - horizon,
     preprocessed once for all the models: AR forecasts from the view's
     outlier-screened log series, and gp and lm from one design built on
-    it.  A ValueError or ModelFitError at one origin leaves a gap in
-    that model's row (and its failure count) instead of aborting the
-    city; a design that cannot be built is a gap for gp and lm.  Metrics
+    it.  The views are taken up front, one per target in target order,
+    and when gp or lm runs, one build_design call builds every design.
+    A ValueError or ModelFitError at one origin leaves a gap in that
+    model's row (and its failure count) instead of aborting the city; a
+    design that cannot be built is a gap for gp and lm.  Metrics
     use the available rows.  The GP re-optimizes its hyperparameters at
     every refit_every-th target and whenever it has none yet; a failed
     refit keeps the previous hyperparameters, and an origin with none is
@@ -294,16 +346,17 @@ def run_backtest(city: CityData, models, protocol: ProtocolConfig | None = None,
 
     weeks_to_forecast = target_weeks(models, protocol, city.dir_series.start_week,
                                      city.dir_series.end_week)
-    needs_design = "gp" in models or "lm" in models
+    views = [city.training_view(t - protocol.horizon) for t in weeks_to_forecast]
+    designs = (build_design(views) if "gp" in models or "lm" in models
+               else [None] * len(views))
     h = None
     rows = {m: [] for m in models}
-    for t in weeks_to_forecast:
-        view = city.training_view(t - protocol.horizon)
+    for t, view, design in zip(weeks_to_forecast, views, designs):
         actual = city.actual_dir(t)
         x_query = None
-        if needs_design:
+        if isinstance(design, tuple):
+            weeks, X, y, state = design
             try:
-                weeks, X, y, state = build_design(view)
                 x_query = query_row(view, state, t)
             except ValueError:
                 pass
@@ -404,11 +457,24 @@ _METRICS = ("pearson", "auc_medium", "auc_high", "auc_mean")
 
 
 def _quartiles(values: list) -> dict | None:
+    """np.quantile's default ("linear") quartiles, written out on one
+    sort: np.quantile itself imports numpy.ma, which costs more than
+    the three numbers."""
     if not values:
         return None
-    q = np.quantile(np.asarray(values, dtype=float), [0.25, 0.5, 0.75])
-    return {"q1": float(q[0]), "median": float(q[1]), "q3": float(q[2]),
-            "n": len(values)}
+    ordered = sorted(float(v) for v in values)
+    q = []
+    for p in (0.25, 0.5, 0.75):
+        at = (len(ordered) - 1) * p
+        below = math.floor(at)
+        if below >= len(ordered) - 1:
+            q.append(ordered[-1])
+            continue
+        a, b = ordered[below], ordered[below + 1]
+        # numpy's _lerp: from the nearer end, so it is exact at both ends
+        gamma = at - below
+        q.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return {"q1": q[0], "median": q[1], "q3": q[2], "n": len(values)}
 
 
 def aggregate_reports(reports, cities) -> dict:

@@ -152,14 +152,15 @@ def composite_kernel(week_a, x_a, week_b, x_b, h: KernelHyperparameters) -> floa
     return float(k1 + k2 + k3)
 
 
-def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
-    """d k_time / d log theta at week distances dt, one row per
-    PARAM_NAMES[:6].  Rows 0 and 2 (the variances) are k_loc and
-    k_qp * k_per, so they add up to the time kernel itself.
+def _time_kernel(dt, h: KernelHyperparameters) -> tuple:
+    """k_loc and k_qp * k_per at week distances dt, with the factors
+    _time_parts differentiates them by.
 
     Computes matern52 and periodic inline, each exp and sin once on a
-    contiguous array, in the same factor order, and writes each row in
-    place; h is validated, so their positivity checks would repeat its own."""
+    contiguous array, in the same factor order; h is validated, so their
+    positivity checks would repeat its own.  Returns (k_loc, k_qp,
+    factors), factors being (a_loc, e_loc, p_loc, a_qp, e_qp, p_qp, u,
+    s, k_per) as named below."""
     dt = np.asarray(dt, dtype=float)
     a = SQRT5 * dt
     a_loc, a_qp = a / h.ell_loc, a / h.ell_qp
@@ -168,12 +169,21 @@ def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
     u = np.pi * dt / h.period
     s = np.sin(u)
     k_per = np.exp(-2.0 * s * s / (h.ell_per * h.ell_per))
-    parts = np.empty((6,) + dt.shape)
-    k_qp = parts[2]
-    np.multiply(h.sigma_loc_sq * (p_loc + a_loc * a_loc / 3.0), e_loc, out=parts[0])
+    k_loc = h.sigma_loc_sq * (p_loc + a_loc * a_loc / 3.0) * e_loc
+    k_qp = h.sigma_qp_sq * (p_qp + a_qp * a_qp / 3.0) * e_qp * k_per
+    return k_loc, k_qp, (a_loc, e_loc, p_loc, a_qp, e_qp, p_qp, u, s, k_per)
+
+
+def _time_parts(dt, h: KernelHyperparameters) -> np.ndarray:
+    """d k_time / d log theta at week distances dt, one row per
+    PARAM_NAMES[:6].  Rows 0 and 2 (the variances) are _time_kernel's
+    k_loc and k_qp * k_per, so they add up to the time kernel itself;
+    the other rows are built on its factors, each written in place."""
+    k_loc, k_qp, (a_loc, e_loc, p_loc, a_qp, e_qp, p_qp, u, s, k_per) = _time_kernel(dt, h)
+    parts = np.empty((6,) + k_loc.shape)
+    parts[0], parts[2] = k_loc, k_qp
     # d matern52 / d log(l) = variance * exp(-a) a^2 (1 + a) / 3, a = sqrt(5) dt / l
     np.divide(h.sigma_loc_sq * e_loc * a_loc * a_loc * p_loc, 3.0, out=parts[1])
-    np.multiply(h.sigma_qp_sq * (p_qp + a_qp * a_qp / 3.0) * e_qp, k_per, out=k_qp)
     np.multiply(h.sigma_qp_sq * e_qp * a_qp * a_qp * p_qp / 3.0, k_per, out=parts[3])
     np.divide(k_qp * 4.0 * s**2, h.ell_per**2, out=parts[4])
     np.divide(k_qp * 2.0 * u * np.sin(2.0 * u), h.ell_per**2, out=parts[5])
@@ -219,11 +229,17 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
     the symmetric lag table, and the linear part is Z Z^T with
     Z = X / ell, which BLAS forms as a symmetric rank-k update.  A
     caller that also needs gram_gradients passes _by_lag(weeks, h) as
-    by_lag, so the time kernel is evaluated once for both.
+    by_lag, so the time kernel is evaluated once for both; without it,
+    only the time kernel is evaluated, not its gradients.
     """
-    lag, parts = _by_lag(weeks, h) if by_lag is None else by_lag
+    if by_lag is None:
+        lag = lag_table(weeks)
+        k_loc, k_qp, _ = _time_kernel(lag.dt, h)
+    else:
+        lag, parts = by_lag
+        k_loc, k_qp = parts[0], parts[2]
     Z = np.asarray(X, dtype=float) / h.ard_lengthscales
-    k = (parts[0] + parts[2])[lag.pairs]
+    k = (k_loc + k_qp)[lag.pairs]
     k += Z @ Z.T
     if include_noise:
         diagonal = k.reshape(-1)[::k.shape[0] + 1]  # a view: k is C-ordered
@@ -233,8 +249,8 @@ def gram_from_arrays(weeks, X, h: KernelHyperparameters, include_noise: bool,
 
 def kernel_vector(weeks, X, week, x, h: KernelHyperparameters) -> np.ndarray:
     """Covariances between one query (week, x) and each design row, noise-free."""
-    parts = _time_parts(np.abs(np.asarray(weeks, dtype=float) - float(week)), h)
-    return parts[0] + parts[2] + np.asarray(X, dtype=float) @ (x / h.ard_lengthscales**2)
+    k_loc, k_qp, _ = _time_kernel(np.abs(np.asarray(weeks, dtype=float) - float(week)), h)
+    return k_loc + k_qp + np.asarray(X, dtype=float) @ (x / h.ard_lengthscales**2)
 
 
 def gram_gradients(X, h: KernelHyperparameters, alpha, inverse_lower, inverse_cols,

@@ -1,10 +1,13 @@
 """Series and covariate preparation ahead of model fitting.
 
-Every function here takes plain arrays and estimates its statistics
-from all of them.  Leakage is ruled out one level up: the backtest hands
-preprocessing only a training view (``evaluation.TrainingView``) that
-ends at the forecast origin, and the frozen statistics are then applied
-unchanged to query weeks.  The full per-city recipe is
+Every function here takes plain arrays.  The outlier screen estimates
+from all of the series it is given; lag selection and standardization
+take a batch of views and estimate each view's statistics from that
+view's arrays alone, so a batch gives every view the numbers it would
+get on its own.  Leakage is ruled out one level up: the backtest hands
+preprocessing only training views (``evaluation.TrainingView``), each
+ending at its forecast origin, and the frozen statistics are then
+applied unchanged to query weeks.  The full per-view recipe is
 
     1. additive-outlier cleaning of the incidence series,
     2. log(1 + y) transform,
@@ -19,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 LAG_MIN = 4
 LAG_MAX = 26
@@ -62,71 +66,130 @@ class TransformState:
         }
 
 
-def standardize_covariates(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column (x - mean) / std over all rows.
+def standardize_covariates(cov: np.ndarray, n_rows) -> list:
+    """Per view and column, (x - mean) / std over the view's own rows.
 
-    Uses the population (1/N) std convention.  Returns the standardized
-    matrix plus the column means and stds.  A column whose max equals
-    its min is rejected: its computed std need not be exactly zero.
+    cov is (M, V, k), week rows first: view v owns rows 0..n_rows[v]-1
+    of cov[:, v], and the rows after them are ignored.  Uses the
+    population (1/N) std convention, with np.mean's and np.std's
+    arithmetic: each sum runs down the view's rows in order, as it does
+    on the view alone, so every number equals the one-view result bit
+    for bit.  Returns one entry per view: its standardized
+    (n_rows[v], k) matrix with the column means and stds, or the
+    ValueError of its first column whose max equals its min (its
+    computed std need not be exactly zero).
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] == 0:
-        raise ValueError("covariate matrix must be 2-D with at least one row")
-    flat = cov.max(axis=0) == cov.min(axis=0)
-    if np.any(flat):
-        bad = int(np.flatnonzero(flat)[0])
-        raise ValueError(f"covariate column {bad} is constant over the training window")
-    means = cov.mean(axis=0)
-    stds = cov.std(axis=0)
-    return (cov - means) / stds, means, stds
+    n_rows = np.asarray(n_rows)
+    if cov.ndim != 3 or n_rows.shape != cov.shape[1:2] or np.any(n_rows < 1) \
+            or np.any(n_rows > cov.shape[0]):
+        raise ValueError("covariates must be (rows, views, columns) with 1..rows rows per view")
+    own = (np.arange(cov.shape[0])[:, None] < n_rows)[:, :, None]
+    last = cov[n_rows - 1, np.arange(n_rows.size)]
+    filled = np.where(own, cov, last)  # later rows repeat the view's last row
+    flat = filled.max(axis=0) == filled.min(axis=0)
+    means = np.where(own, cov, 0.0).sum(axis=0) / n_rows[:, None]
+    deviations = np.where(own, cov - means, 0.0)
+    stds = np.sqrt((deviations * deviations).sum(axis=0) / n_rows[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat column's std may be 0
+        X = (cov - means) / stds
+    return [ValueError(f"covariate column {int(np.argmax(flat[v]))} is constant "
+                       "over the training window") if flat[v].any()
+            else (X[:n_rows[v], v].copy(), means[v], stds[v])
+            for v in range(n_rows.size)]
 
 
-def select_lag(covariate: np.ndarray, target: np.ndarray) -> int:
-    """Lag in LAG_MIN..LAG_MAX maximizing |corr(lagged covariate, target)|.
+def select_lag(views, names) -> list:
+    """Per view, the lag in LAG_MIN..LAG_MAX of each covariate column
+    that maximizes |corr(lagged column, target)|.
 
-    Both arrays are week-aligned and of equal length.  The chosen lag is
-    the smallest whose |corr| is at least max|corr| * (1 - 1e-12), so
-    lags tied in exact arithmetic (periodic series) go to the smaller
-    lag whatever the rounding.  A series whose overlap at some lag is
-    flat (its max equals its min) has no correlation there and raises
-    ValueError.
+    views is a sequence of (covariates, target) pairs of float arrays:
+    an (n, k) matrix and a length-n series, week-aligned, where n may
+    differ between views; names holds the k column names.  Lag L pairs
+    covariate weeks 0..n-1-L with target weeks L..n-1.  A column's lag
+    is the smallest whose |corr| is at least its max|corr| * (1 - 1e-12),
+    so lags tied in exact arithmetic (periodic series) go to the smaller
+    lag whatever the rounding.
+
+    Returns one entry per view, in order: a tuple of k lags, or the
+    ValueError of the view's first failing column, named "lag selection
+    for <name>": a window shorter than MIN_LAG_WEEKS, or a flat (max
+    equals min) target or covariate over the longest lag's pair, which
+    lies inside every other lag's pair, so no correlation exists there.
+
+    All views are searched in one array pass.  They are padded with
+    zeros to a common length; every lag's cross-products come from one
+    batched matmul of the target's strided windows, and each lag's
+    window sums from the whole-window sums less the cumulative sums of
+    the weeks the lag drops (the covariate's last, read back from the
+    view's own length, and the target's first).  No view's numbers
+    enter another view's result.
     """
-    covariate = np.asarray(covariate, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if covariate.ndim != 1 or covariate.shape != target.shape:
-        raise ValueError("covariate and target must be 1-D with equal length")
-    n_train = target.size
-    if n_train < MIN_LAG_WEEKS:
-        raise ValueError(f"training window too short for lags up to {LAG_MAX} "
-                         f"(need >= {MIN_LAG_WEEKS} weeks)")
+    k = len(names)
+    for covariates, target in views:
+        if target.ndim != 1 or covariates.shape != (target.size, k):
+            raise ValueError("each view needs an (n, k) covariate matrix and a length-n target")
+    n = np.array([target.size for _, target in views], dtype=int)
+    if n.size == 0:
+        return []
+    weeks = np.arange(n.max())
+    mine = weeks < n[:, None]
+    t = np.zeros(mine.shape)
+    c = np.zeros((n.size, k, weeks.size))  # columns before weeks: each reduces contiguously
+    for v, (covariates, target) in enumerate(views):
+        t[v, :n[v]] = target
+        c[v, :, :n[v]] = covariates.T
 
-    # lag L pairs covariate weeks 0..n_train-1-L (a prefix) with target
-    # weeks L..n_train-1 (a suffix); the longest lag's pair is the
-    # shortest and lies inside every other, so it is flat (max == min)
-    # if any pair is
-    for name, overlap in (("target", target[LAG_MAX:]),
-                          ("covariate", covariate[:n_train - LAG_MAX])):
-        if overlap.max() == overlap.min():
-            raise ValueError(f"zero-variance overlap in lag correlation: the {name} is flat")
+    # the longest lag's pair: target weeks LAG_MAX..n-1, covariate weeks 0..n-1-LAG_MAX
+    t_pair, c_pair = mine & (weeks >= LAG_MAX), (weeks < n[:, None] - LAG_MAX)[:, None]
+    flat_t = (np.max(t, axis=1, where=t_pair, initial=-np.inf)
+              == np.min(t, axis=1, where=t_pair, initial=np.inf))
+    flat_c = (np.max(c, axis=2, where=c_pair, initial=-np.inf)
+              == np.min(c, axis=2, where=c_pair, initial=np.inf))
+    short = n < MIN_LAG_WEEKS
+    results = [None] * n.size
+    for v in np.flatnonzero(short | flat_t | flat_c.any(axis=1)).tolist():
+        if short[v]:
+            column, reason = 0, (f"training window too short for lags up to {LAG_MAX} "
+                                 f"(need >= {MIN_LAG_WEEKS} weeks)")
+        else:
+            column = 0 if flat_t[v] else int(np.argmax(flat_c[v]))
+            reason = ("zero-variance overlap in lag correlation: the "
+                      + ("target" if flat_t[v] else "covariate") + " is flat")
+        results[v] = ValueError(f"lag selection for {names[column]}: {reason}")
+    ok = np.flatnonzero([r is None for r in results])
+    if ok.size == 0:
+        return results
 
-    # on the window-mean-centred series: the cross-products of every lag
-    # from one correlation; each per-lag sum is the whole-window sum less
-    # the weeks the lag drops (the covariate's last, the target's first)
-    c = covariate - covariate.mean()
-    t = target - target.mean()
-    sizes = n_train - np.arange(LAG_MIN, LAG_MAX + 1)
-    cross = np.correlate(np.concatenate((t[LAG_MIN:], np.zeros(LAG_MAX - LAG_MIN))),
-                         c[:n_train - LAG_MIN], "valid")
-    dropped = slice(LAG_MIN - 1, LAG_MAX)
-    c_end, t_start = c[:-LAG_MAX - 1:-1], t[:LAG_MAX]
-    c_sum = c.sum() - c_end.cumsum()[dropped]
-    c_sq = (c * c).sum() - (c_end * c_end).cumsum()[dropped]
-    t_sum = t.sum() - t_start.cumsum()[dropped]
-    t_sq = (t * t).sum() - (t_start * t_start).cumsum()[dropped]
+    # centred on each view's window means, with the padding kept at zero
+    n, mine, t, c = n[ok], mine[ok], t[ok], c[ok]
+    t -= (t.sum(axis=1) / n)[:, None]
+    t *= mine
+    c -= (c.sum(axis=2) / n[:, None])[:, :, None]
+    c *= mine[:, None]
+    lags = np.arange(LAG_MIN, LAG_MAX + 1)
+    sizes = (n[:, None] - lags)[:, :, None]
+    dropped = lags - 1
+    t_start = t[:, :LAG_MAX]
+    t_sum = (t.sum(axis=1)[:, None] - t_start.cumsum(axis=1)[:, dropped])[:, :, None]
+    t_sq = ((t * t).sum(axis=1)[:, None]
+            - (t_start * t_start).cumsum(axis=1)[:, dropped])[:, :, None]
+    c_end = np.take_along_axis(c, (n[:, None] - 1 - np.arange(LAG_MAX))[:, None], axis=2)
+    c_sum = (c.sum(axis=2)[:, :, None] - c_end.cumsum(axis=2)[:, :, dropped]).transpose(0, 2, 1)
+    c_sq = ((c * c).sum(axis=2)[:, :, None]
+            - (c_end * c_end).cumsum(axis=2)[:, :, dropped]).transpose(0, 2, 1)
+    # row j of a view's windows is its target from week LAG_MIN + j on,
+    # zero past its end, so one matmul gives every lag's cross-products
+    span = weeks.size - LAG_MIN
+    shifted = np.concatenate((t[:, LAG_MIN:], np.zeros((ok.size, LAG_MAX - LAG_MIN))), axis=1)
+    cross = sliding_window_view(shifted, span, axis=1) @ c[:, :, :span].transpose(0, 2, 1)
     c_ss = c_sq - c_sum * c_sum / sizes
     t_ss = t_sq - t_sum * t_sum / sizes
     r = np.abs((cross - c_sum * t_sum / sizes) / np.sqrt(c_ss * t_ss))
-    return LAG_MIN + int(np.argmax(r >= r.max() * (1.0 - 1e-12)))
+    best = LAG_MIN + np.argmax(r >= r.max(axis=1, keepdims=True) * (1.0 - 1e-12), axis=1)
+    for v, chosen in zip(ok.tolist(), best.tolist()):
+        results[v] = tuple(chosen)
+    return results
 
 
 def _ar_design(z: np.ndarray) -> np.ndarray:

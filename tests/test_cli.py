@@ -1,6 +1,7 @@
 """Command-line interface: config layering, subcommand round-trips, file
 formats, exit codes, and run-to-run determinism."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -329,7 +330,7 @@ class TestBacktestCommand:
             gaps = [int(r[0]) for r in rows if r[2] == ""]
             assert 0 < len(gaps) < len(rows)
             for t in gaps:
-                weeks, _, _, _ = build_design(city.training_view(t - 4))
+                weeks, _, _, _ = build_design([city.training_view(t - 4)])[0]
                 assert weeks.size < MIN_TRAINING_POINTS
 
     def test_failing_city_is_isolated(self, sim_dir, tmp_path, monkeypatch):
@@ -408,7 +409,7 @@ class TestBacktestCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(denguegp.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert main(["backtest", "--data-dir", sim_dir, "--out-dir", str(tmp_path / "o"),
                      "--model", "ar", "--first-target", "120", "--last-target", "121",
                      "--jobs", jobs, "--min-population", min_population]) == 0
@@ -761,6 +762,20 @@ def test_commands_that_fit_no_gp_leave_scipy_unloaded(sim_dir, tmp_path, command
     assert loaded == (["scipy.linalg._flapack", "scipy.optimize._lbfgsb"] if gp_fit else [])
     user_set = any(v in os.environ for v in BLAS_THREAD_VARIABLES)
     assert threads == (os.environ.get("OPENBLAS_NUM_THREADS") if user_set else "1")
+
+
+def test_one_worker_backtest_leaves_pool_and_masked_arrays_unloaded(sim_dir, tmp_path):
+    # --jobs 1 starts no pool, and the summary's quartiles need no numpy.ma
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denguegp.__file__)))
+    argv = ["backtest", "--data-dir", sim_dir, "--out-dir", str(tmp_path), "--model", "all",
+            "--restarts", "1", "--jobs", "1", "--first-target", "120", "--last-target", "124"]
+    unwanted = ("multiprocessing", "concurrent.futures.process", "numpy.ma")
+    code = ("import json, sys; from denguegp.cli import main; code = main(sys.argv[1:]); "
+            f"print(json.dumps([code, [m for m in {unwanted!r} if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -281,7 +281,7 @@ class TestBuildDesign:
     def test_design_shape_and_standardization(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=8))
         view = city.training_view(150)
-        weeks, X, y, state = build_design(view)
+        weeks, X, y, state = build_design([view])[0]
         max_lag = max(state.lags)
         assert weeks[0] == 1 + max_lag
         assert weeks[-1] == 150
@@ -294,7 +294,7 @@ class TestBuildDesign:
     def test_query_row_reconstruction(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=9))
         view = city.training_view(150)
-        _, _, _, state = build_design(view)
+        _, _, _, state = build_design([view])[0]
         row = query_row(view, state, 154)
         for d in range(3):
             raw = city.covariates[154 - state.lags[d] - 1, d]
@@ -304,7 +304,7 @@ class TestBuildDesign:
     def test_query_row_outside_the_view_raises(self):
         city = synthetic_city(SynthSpec(weeks=160, seed=9))
         view = city.training_view(150)
-        _, _, _, state = build_design(view)
+        _, _, _, state = build_design([view])[0]
         shortest = min(state.lags)
         query_row(view, state, 150 + shortest)  # the last week in reach
         with pytest.raises(ValueError, match="outside the view"):
@@ -317,7 +317,7 @@ class TestBuildDesign:
         view = city.training_view(150)
         view.dir_values[70] = 50.0 * view.dir_values.max()  # a spike to patch
         view = dataclasses.replace(view, start_week=41)
-        _, _, y, state = build_design(view)
+        _, _, y, state = build_design([view])[0]
         cleaned, flagged = remove_additive_outliers(view.dir_values)
         assert 70 in flagged
         assert state.flagged_weeks == tuple(41 + i for i in flagged)
@@ -342,12 +342,13 @@ class StubOptimizer:
 
 
 def count_calls(monkeypatch, name):
-    """Wrap evaluation.<name> so its calls are counted; returns the counter."""
+    """Wrap evaluation.<name> so its calls are recorded; returns the list
+    of each call's positional arguments."""
     calls = []
     original = getattr(evaluation, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, name, counted)
@@ -447,11 +448,12 @@ class TestBacktestProtocol:
         assert 0 < gp.n_failed < len(gp.rows)
         assert gaps == [r.target_week for r in lm.rows if r.predicted_dir is None]
         # one design attempt per origin serves gp and lm, and ar needs none
-        assert len(designs) == len(gp.rows)
+        assert sum(len(views) for views, in designs) == len(gp.rows)
         assert all(r.predicted_dir is not None for r in ar.rows if r.target_week in gaps)
         # the gap comes from the design failure named here
+        error, = build_design([flat.training_view(gaps[0] - protocol.horizon)])
         with pytest.raises(ValueError, match="lag selection for humidity_pct"):
-            build_design(flat.training_view(gaps[0] - protocol.horizon))
+            raise error
 
     @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
     def test_constant_climate_column_is_a_gap_whatever_its_rounding(self, monkeypatch,
@@ -475,7 +477,7 @@ class TestBacktestProtocol:
         reports = run_backtest(city, MODELS, protocol=protocol)
         n_targets = len(reports[0].rows)
         assert all(r.n_failed == 0 for r in reports)
-        assert len(screens) == len(designs) == n_targets
+        assert len(screens) == sum(len(views) for views, in designs) == n_targets
         # the AR baseline alone needs the outlier screen, not a design
         designs.clear()
         run_backtest(city, ("ar",), protocol=protocol)
@@ -614,6 +616,19 @@ class TestAggregateReports:
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
             aggregate_reports([], {})
+
+    def test_quartiles_equal_numpy_quantile_bit_for_bit(self):
+        # sizes 1-40, ties (quarter steps) and mixed signs; no -0.0, whose
+        # place among equal zeros np.quantile's partition leaves open
+        rng = np.random.default_rng(89)
+        for i in range(3000):
+            size = int(rng.integers(1, 41))
+            values = (rng.integers(-8, 9, size=size) / 4.0 if i % 2
+                      else rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)).tolist()
+            q = evaluation._quartiles(values)
+            expected = np.quantile(np.asarray(values), [0.25, 0.5, 0.75])
+            assert [q["q1"], q["median"], q["q3"]] == expected.tolist()
+            assert q["n"] == size
 
 
 class TestAucMeanProperty:

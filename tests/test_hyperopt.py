@@ -249,7 +249,7 @@ class TestLbfgsbLoop:
             return runs[-1]
 
         monkeypatch.setattr(hyperopt, "_lbfgsb", compared)
-        optimize(*build_design(view)[:3], config)
+        optimize(*build_design([view])[0][:3], config)
         return runs
 
     @pytest.mark.parametrize("spec, end_week", DESIGNS)
@@ -272,7 +272,7 @@ class TestLbfgsbLoop:
 
         monkeypatch.setattr(hyperopt, "_lbfgsb", recorded)
         view = synthetic_city(spec).training_view(end_week)
-        _, lml, _ = optimize(*build_design(view)[:3], OptimizerConfig(restarts=3, seed=7))
+        _, lml, _ = optimize(*build_design([view])[0][:3], OptimizerConfig(restarts=3, seed=7))
         tight = min(minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=LOG_BOUNDS,
                              options={"maxcor": 10, "ftol": 1e-12, "gtol": 1e-5,
                                       "maxiter": 1000}).fun

@@ -2,13 +2,14 @@
 analytic log-space gradients checked against finite differences."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from denguegp.kernels import (PARAM_NAMES, KernelHyperparameters, _by_lag,
-                              composite_kernel, gram_from_arrays,
+                              _time_parts, composite_kernel, gram_from_arrays,
                               gram_gradients, kernel_vector, lag_table,
                               linear_ard, matern52, periodic)
 
@@ -250,6 +251,37 @@ class TestGramMatrix:
         for i in range(9):
             assert_allclose(kstar[i], composite_kernel(weeks[i], X[i], qw, qx, h),
                             rtol=1e-12)
+
+    def test_fit_and_predict_kernels_equal_the_variance_rows(self):
+        # without by_lag, gram_from_arrays and kernel_vector evaluate the
+        # time kernel alone: rows 0 and 2 of _time_parts, bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            h = random_hyperparameters(rng)
+            weeks, X = random_design(rng, 20)
+            qw, qx = random_input(rng)
+            lag = lag_table(weeks)
+            parts = _time_parts(lag.dt, h)
+            assert np.array_equal(gram_from_arrays(weeks, X, h, include_noise=True),
+                                  gram_from_arrays(weeks, X, h, include_noise=True,
+                                                   by_lag=(lag, parts)))
+            query = _time_parts(np.abs(weeks - float(qw)), h)
+            assert np.array_equal(kernel_vector(weeks, X, qw, qx, h),
+                                  query[0] + query[2] + X @ (qx / h.ard_lengthscales**2))
+
+    def test_huge_variance_leaves_the_unread_gradient_rows_unevaluated(self):
+        # a saved model's variance of 1e308: the ell_per and period
+        # gradient rows overflow, and fit and predict must not compute them
+        h = make_hyperparameters(sigma_qp_sq=1e308, ell_qp=1e4)
+        rng = np.random.default_rng(14)
+        weeks, X = random_design(rng, 20, max_week=100)
+        with pytest.warns(RuntimeWarning):
+            _time_parts(lag_table(weeks).dt, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            K = gram_from_arrays(weeks, X, h, include_noise=True)
+            kstar = kernel_vector(weeks, X, 50, X[0], h)
+        assert np.all(np.isfinite(K)) and np.all(np.isfinite(kstar))
 
 
 def finite_difference_kernel(a, b, h, index, step=1e-5):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from denguegp.data import WeeklySeries, compute_dir
-from denguegp.preprocess import (LAG_MAX, LAG_MIN, TransformState, _ar_design,
+from denguegp.preprocess import (LAG_MAX, LAG_MIN, MIN_LAG_WEEKS, TransformState, _ar_design,
                                  _select_ar_order, remove_additive_outliers,
                                  select_lag, standardize_covariates)
 from denguegp.synth import draw_from_prior, low_incidence_spec
@@ -30,23 +32,32 @@ def low_incidence_dir(seed, population=200000):
     return compute_dir(WeeklySeries("c1", 1, counts), population).values, draw.raw_covariates
 
 
+def standardize_one(cov):
+    """standardize_covariates on a one-view batch; raises the view's error."""
+    cov = np.asarray(cov, dtype=float)
+    result, = standardize_covariates(cov[:, None], [cov.shape[0]])
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
 class TestStandardizeCovariates:
     def test_small_column(self):
-        X, means, stds = standardize_covariates(np.array([[1.0], [2.0], [3.0]]))
+        X, means, stds = standardize_one(np.array([[1.0], [2.0], [3.0]]))
         assert_allclose(means, [2.0])
         assert_allclose(stds, [np.sqrt(2.0 / 3.0)])
         assert_allclose(X[0, 0], -1.0 / np.sqrt(2.0 / 3.0), rtol=1e-15)
 
     def test_training_rows_mean_zero_unit_sd(self):
         rng = np.random.default_rng(11)
-        X, _, _ = standardize_covariates(rng.normal(size=(40, 3)) * 5 + 2)
+        X, _, _ = standardize_one(rng.normal(size=(40, 3)) * 5 + 2)
         assert_allclose(X.mean(axis=0), np.zeros(3), atol=1e-12)
         assert_allclose(X.std(axis=0), np.ones(3), rtol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
-        X, _, _ = standardize_covariates(rng.normal(size=(25, 3)))
-        X2, means, stds = standardize_covariates(X)
+        X, _, _ = standardize_one(rng.normal(size=(25, 3)))
+        X2, means, stds = standardize_one(X)
         assert_allclose(X2, X, atol=1e-12)
         assert_allclose(means, np.zeros(3), atol=1e-12)
         assert_allclose(stds, np.ones(3), rtol=1e-12)
@@ -54,7 +65,7 @@ class TestStandardizeCovariates:
     def test_constant_column_rejected(self):
         cov = np.column_stack([np.arange(10.0), np.full(10, 4.0)])
         with pytest.raises(ValueError, match="column 1"):
-            standardize_covariates(cov)
+            standardize_one(cov)
 
     @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
     def test_constant_column_rejected_whatever_its_rounded_std(self, value):
@@ -62,13 +73,34 @@ class TestStandardizeCovariates:
         cov = np.column_stack([np.arange(100.0), np.full(100, value)])
         assert cov[:, 1].std() > 0
         with pytest.raises(ValueError, match="column 1"):
-            standardize_covariates(cov)
+            standardize_one(cov)
 
     def test_bad_row_count(self):
         with pytest.raises(ValueError):
-            standardize_covariates(np.ones((0, 2)))
+            standardize_one(np.ones((0, 2)))
         with pytest.raises(ValueError):
-            standardize_covariates(np.ones(5))
+            standardize_one(np.ones(5))
+
+    def test_ragged_batch_equals_each_view_alone(self):
+        # np.mean / np.std of each view's own column_stack, bit for bit,
+        # with a flat column in one view failing that view alone
+        rng = np.random.default_rng(83)
+        views = [rng.normal(size=(int(n), 3)) * rng.uniform(0.01, 100.0, size=3)
+                 + rng.uniform(-50.0, 50.0, size=3) for n in rng.integers(1, 200, size=40)]
+        views[7][:, 1] = 0.7
+        batch = np.zeros((max(v.shape[0] for v in views), len(views), 3))
+        for i, v in enumerate(views):
+            batch[:v.shape[0], i] = v
+        results = standardize_covariates(batch, [v.shape[0] for v in views])
+        for i, (view, result) in enumerate(zip(views, results)):
+            if i == 7 or view.shape[0] == 1:
+                assert str(result) == f"covariate column {1 if i == 7 else 0} is constant " \
+                                      "over the training window"
+                continue
+            X, means, stds = result
+            assert np.array_equal(means, view.mean(axis=0))
+            assert np.array_equal(stds, view.std(axis=0))
+            assert np.array_equal(X, (view - view.mean(axis=0)) / view.std(axis=0))
 
 
 def brute_force_lag(covariate, target, n_train, lag_min=LAG_MIN, lag_max=LAG_MAX):
@@ -89,12 +121,20 @@ def climate_scale_pair(rng, n, lag, noise_sd):
     return covariate[lag:], target
 
 
+def lag_of(covariate, target):
+    """select_lag on a one-view batch of one column; raises the view's error."""
+    result, = select_lag([(np.asarray(covariate)[:, None], target)], ("x",))
+    if isinstance(result, ValueError):
+        raise result
+    return result[0]
+
+
 class TestSelectLag:
     def test_recovers_constructed_shift(self):
         rng = np.random.default_rng(17)
         covariate = rng.normal(size=160)
         target = np.concatenate([rng.normal(size=10), covariate[:-10]])
-        lag = select_lag(covariate[:140], target[:140])
+        lag = lag_of(covariate[:140], target[:140])
         assert lag == 10
         assert lag == brute_force_lag(covariate, target, 140)
 
@@ -103,7 +143,7 @@ class TestSelectLag:
         for _ in range(10):
             covariate = rng.normal(size=120)
             target = rng.normal(size=120)
-            lag = select_lag(covariate[:100], target[:100])
+            lag = lag_of(covariate[:100], target[:100])
             assert LAG_MIN <= lag <= LAG_MAX
             assert lag == brute_force_lag(covariate, target, 100)
 
@@ -117,7 +157,7 @@ class TestSelectLag:
                 target = np.log1p(cleaned)
                 zero_shares.append(np.mean(target == 0))
                 for d in range(3):
-                    assert (select_lag(climate[:end, d], target)
+                    assert (lag_of(climate[:end, d], target)
                             == brute_force_lag(climate[:end, d], target, end))
         assert np.mean(zero_shares) > 0.3
 
@@ -128,7 +168,7 @@ class TestSelectLag:
             n = int(rng.integers(37, 210))
             covariate, target = climate_scale_pair(rng, n, int(rng.integers(4, 27)),
                                                    rng.uniform(0.1, 3.0))
-            lag = select_lag(covariate, target)
+            lag = lag_of(covariate, target)
             assert lag == brute_force_lag(covariate, target, n)
             lags.append(lag)
         assert len(set(lags)) > 5
@@ -144,11 +184,11 @@ class TestSelectLag:
             covariate = np.full(n, value)
             covariate[n - LAG_MAX - varying:] += rng.normal(scale=0.01, size=LAG_MAX + varying)
             target = rng.normal(size=n)
-            assert select_lag(covariate, target) == brute_force_lag(covariate, target, n)
+            assert lag_of(covariate, target) == brute_force_lag(covariate, target, n)
             target = np.full(n, value)
             target[:LAG_MAX + varying] += rng.normal(scale=0.01, size=LAG_MAX + varying)
             covariate = 25.0 + 2.0 * rng.normal(size=n)
-            assert select_lag(covariate, target) == brute_force_lag(covariate, target, n)
+            assert lag_of(covariate, target) == brute_force_lag(covariate, target, n)
 
     @pytest.mark.parametrize("value", [0.1, 1e-3, 0.7, 25.7])
     def test_flat_overlap_rejected_whatever_its_rounded_variance(self, value):
@@ -157,25 +197,25 @@ class TestSelectLag:
         flat = np.full(157, value)
         noise = rng.normal(size=LAG_MAX)
         with pytest.raises(ValueError, match="covariate is flat"):
-            select_lag(np.concatenate([flat, noise]), rng.normal(size=157 + LAG_MAX))
+            lag_of(np.concatenate([flat, noise]), rng.normal(size=157 + LAG_MAX))
         with pytest.raises(ValueError, match="target is flat"):
-            select_lag(rng.normal(size=157 + LAG_MAX), np.concatenate([noise, flat]))
+            lag_of(rng.normal(size=157 + LAG_MAX), np.concatenate([noise, flat]))
         with pytest.raises(ValueError, match="covariate is flat"):
-            select_lag(np.full(100, value), rng.normal(size=100))
+            lag_of(np.full(100, value), rng.normal(size=100))
 
     def test_zero_variance_overlap_rejected(self):
         # the covariate is flat over the overlap of the longest lag only
         rng = np.random.default_rng(53)
         covariate = np.concatenate([np.full(100, 25.0), rng.normal(size=LAG_MAX)])
         with pytest.raises(ValueError, match="zero-variance.*covariate is flat"):
-            select_lag(covariate, rng.normal(size=covariate.size))
+            lag_of(covariate, rng.normal(size=covariate.size))
 
     def test_flat_target_overlap_named(self):
         # the target is flat from week LAG_MAX on, the longest lag's overlap
         rng = np.random.default_rng(54)
         target = np.concatenate([rng.normal(size=LAG_MAX), np.full(100, 1.0)])
         with pytest.raises(ValueError, match="zero-variance.*target is flat"):
-            select_lag(rng.normal(size=target.size), target)
+            lag_of(rng.normal(size=target.size), target)
 
     def test_exact_tie_breaks_to_smaller_lag(self):
         # period-2 series make |r| exactly 1 at every candidate lag; the
@@ -186,24 +226,72 @@ class TestSelectLag:
                 covariate = offset + 2.0 * np.tile([1.0, -1.0], 105)[:n]
                 for target in (covariate, 0.5 * covariate - 3.0,
                                np.log1p(np.tile([0.0, 3.0], 105)[:n])):
-                    assert select_lag(covariate, target) == LAG_MIN
+                    assert lag_of(covariate, target) == LAG_MIN
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(23)
         covariate = rng.normal(size=160)
         target = np.concatenate([rng.normal(size=7), covariate[:-7] * 2.0])
         covariate, target = covariate[:130], target[:130]
-        base = select_lag(covariate, target)
-        assert select_lag(3.5 * covariate + 11.0, target) == base
-        assert select_lag(-2.0 * covariate, 0.5 * target - 4.0) == base
+        base = lag_of(covariate, target)
+        assert lag_of(3.5 * covariate + 11.0, target) == base
+        assert lag_of(-2.0 * covariate, 0.5 * target - 4.0) == base
 
     def test_window_too_short(self):
         rng = np.random.default_rng(29)
         with pytest.raises(ValueError):
-            select_lag(rng.normal(size=36), rng.normal(size=36))
+            lag_of(rng.normal(size=36), rng.normal(size=36))
         with pytest.raises(ValueError):
-            select_lag(rng.normal(size=50), rng.normal(size=49))
-        assert select_lag(np.sin(np.arange(37.0)), np.cos(np.arange(37.0))) is not None
+            lag_of(rng.normal(size=50), rng.normal(size=49))
+        assert lag_of(np.sin(np.arange(37.0)), np.cos(np.arange(37.0))) is not None
+
+    def test_first_failing_column_is_named(self):
+        rng = np.random.default_rng(31)
+        good = rng.normal(size=(120, 3))
+        flat_b = good.copy()
+        flat_b[:, 1:] = 4.0  # columns b and c are flat; b is named
+        flat_target = np.concatenate([rng.normal(size=LAG_MAX), np.full(94, 2.0)])
+        results = select_lag([(good, rng.normal(size=120)), (flat_b, rng.normal(size=120)),
+                              (good, flat_target), (good[:36], rng.normal(size=36))],
+                             ("a", "b", "c"))
+        assert all(LAG_MIN <= lag <= LAG_MAX for lag in results[0])
+        assert [str(e) for e in results[1:]] == [
+            "lag selection for b: zero-variance overlap in lag correlation: "
+            "the covariate is flat",
+            "lag selection for a: zero-variance overlap in lag correlation: the target is flat",
+            f"lag selection for a: training window too short for lags up to {LAG_MAX} "
+            f"(need >= {MIN_LAG_WEEKS} weeks)"]
+        assert select_lag([], ("a",)) == []
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["noise", "led", "short", "flat target",
+                                           "flat covariate"]), min_size=1, max_size=9))
+    def test_ragged_batch_equals_each_view_alone(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        views = []
+        for kind in kinds:
+            n = int(rng.integers(20, MIN_LAG_WEEKS) if kind == "short"
+                    else rng.integers(MIN_LAG_WEEKS, 260))
+            covariates = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0, size=3) + 25.0
+            target = rng.normal(size=n)
+            if kind == "led":  # the target follows column 0 at some lag
+                lag = int(rng.integers(LAG_MIN, LAG_MAX + 1))
+                target[lag:] += 2.0 * covariates[:n - lag, 0]
+            elif kind == "flat target":
+                target[LAG_MAX:] = 1.5
+            elif kind == "flat covariate":
+                covariates[:n - LAG_MAX, int(rng.integers(3))] = 0.1
+            views.append((covariates, target))
+        names = ("a", "b", "c")
+        for (covariates, target), result in zip(views, select_lag(views, names)):
+            alone, = select_lag([(covariates, target)], names)
+            if isinstance(alone, ValueError):
+                assert isinstance(result, ValueError) and str(result) == str(alone)
+                continue
+            assert result == alone
+            assert result == tuple(brute_force_lag(covariates[:, d], target, target.size)
+                                   for d in range(3))
 
 
 def reference_ar_fit(z, order, t0):
